@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race staticcheck ci bench bench-diff trace-demo cover fuzz audit chaos chaos-live chaos-crash serve-smoke experiments report examples
+.PHONY: all build vet fmt-check loc test test-short race staticcheck ci bench bench-diff trace-demo cover fuzz audit chaos chaos-live chaos-crash serve-smoke experiments report examples
 
 all: build vet test
 
@@ -11,6 +11,16 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate (the CI step of the same name): fail listing every file
+# gofmt would rewrite.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# Non-test Go lines outside the benchmark harness: the code-size figure
+# each change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 test:
 	$(GO) test ./...
@@ -32,7 +42,7 @@ staticcheck:
 	fi
 
 # Everything .github/workflows/ci.yml checks, locally.
-ci: build vet test race chaos serve-smoke chaos-live chaos-crash staticcheck bench bench-diff trace-demo
+ci: build vet fmt-check test race chaos serve-smoke chaos-live chaos-crash staticcheck bench bench-diff trace-demo
 
 # Benchmark run recorded as JSON (see cmd/bench and DESIGN.md §8). CI uses
 # the short BENCHTIME as a smoke pass; for tracked numbers use the default

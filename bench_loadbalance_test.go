@@ -94,9 +94,8 @@ func BenchmarkLoadBalance_GreedyRecovery(b *testing.B) {
 }
 
 // BenchmarkP2_DualSweep compares one full dual iteration of P2 (all T×N
-// slot solves) on the per-call path ("fresh": bind + solve, what a cold
-// SolveAll pays), a pre-bound workspace ("reused": the steady-state dual
-// iteration of Algorithm 1, zero allocations), and the delta-aware sweep
+// slot solves) on a pre-bound workspace ("reused": the steady-state dual
+// iteration of Algorithm 1, zero allocations) with the delta-aware sweep
 // ("dirty": only two μ rows moved since the last iteration, every other
 // slot sitting at a certified fixed point is skipped — the late-dual-loop
 // steady state, also zero allocations).
@@ -123,14 +122,6 @@ func BenchmarkP2_DualSweep(b *testing.B) {
 	}
 	opts := convex.Options{MaxIter: 600, StepTol: 1e-6}
 
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := loadbalance.SolveAll(context.Background(), in, mu, nil, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("reused", func(b *testing.B) {
 		ws := loadbalance.NewWorkspace()
 		ws.Bind(in)

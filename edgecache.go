@@ -161,7 +161,7 @@ func LoadFaults(arg string, seed uint64) (*FaultSchedule, error) { return fault.
 // never changes solver behaviour, and the nil handle is a free no-op.
 type (
 	// Telemetry bundles a structured event sink with a metrics registry;
-	// pass it to SimulateObserved / CompareObserved to record per-
+	// pass it to Simulate / Compare via WithTelemetry to record per-
 	// iteration solver events, per-slot controller decisions and per-run
 	// summaries. See DESIGN.md §6 for the event schema.
 	Telemetry = obs.Telemetry
@@ -626,18 +626,4 @@ func Compare(ctx context.Context, in *Instance, pred *Predictor, planners []Plan
 		runs[i] = r
 	}
 	return runs, nil
-}
-
-// SimulateObserved is Simulate with a telemetry handle.
-//
-// Deprecated: use Simulate(ctx, in, pred, p, WithTelemetry(tel)).
-func SimulateObserved(in *Instance, pred *Predictor, p Planner, tel *Telemetry) (*Run, error) {
-	return Simulate(context.Background(), in, pred, p, WithTelemetry(tel))
-}
-
-// CompareObserved is Compare with a telemetry handle.
-//
-// Deprecated: use Compare(ctx, in, pred, planners, WithTelemetry(tel)).
-func CompareObserved(in *Instance, pred *Predictor, tel *Telemetry, planners ...Planner) ([]*Run, error) {
-	return Compare(context.Background(), in, pred, planners, WithTelemetry(tel))
 }

@@ -297,29 +297,33 @@ func TestOfflineSolverOptions(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillWork pins the compatibility contract: the
-// pre-context entry points keep their exact signatures and behaviour.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
+// TestWithTelemetryRecordsSimulateAndCompare checks the telemetry option
+// reaches both entry points: runs complete and emit run summaries.
+func TestWithTelemetryRecordsSimulateAndCompare(t *testing.T) {
 	in, pred, err := smallScenario().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &memSink{}
-	run, err := SimulateObserved(in, pred, LRFU(), NewTelemetry(sink))
+	tel := WithTelemetry(NewTelemetry(sink))
+	run, err := Simulate(context.Background(), in, pred, LRFU(), tel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if run.Policy != "LRFU" {
 		t.Fatalf("policy = %q", run.Policy)
 	}
-	runs, err := CompareObserved(in, pred, nil, LRFU(), NoCaching())
+	if sink.count("run_summary") != 1 {
+		t.Fatalf("Simulate emitted %d run summaries, want 1", sink.count("run_summary"))
+	}
+	runs, err := Compare(context.Background(), in, pred, []Planner{LRFU(), NoCaching()}, tel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 2 {
 		t.Fatalf("got %d runs", len(runs))
 	}
-	if sink.count("run_summary") == 0 {
-		t.Fatal("deprecated wrapper dropped telemetry")
+	if sink.count("run_summary") != 3 {
+		t.Fatalf("Simulate + Compare emitted %d run summaries, want 3", sink.count("run_summary"))
 	}
 }

@@ -82,11 +82,13 @@ func TestSolveCancelMidIteration(t *testing.T) {
 	}
 }
 
+// TestSolveDistributedCancelled checks the distributed (per-SBS sharded)
+// solve surfaces a cancelled context as a wrapped context.Canceled.
 func TestSolveDistributedCancelled(t *testing.T) {
 	in := tinyInstance(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveDistributed(ctx, in, Options{MaxIter: 10}); !errors.Is(err, context.Canceled) {
+	if _, err := SolveSharded(ctx, in, Options{MaxIter: 10}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 }

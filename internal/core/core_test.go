@@ -128,13 +128,6 @@ func TestSolveValidatesInstance(t *testing.T) {
 	}
 }
 
-func TestRecoverFeasibleShapeCheck(t *testing.T) {
-	in := tinyInstance(t, nil)
-	if _, err := RecoverFeasible(context.Background(), in, make([]model.CachePlan, 1), convex.Options{}); err == nil {
-		t.Fatal("RecoverFeasible accepted short placements")
-	}
-}
-
 func TestMultiSBSSeparability(t *testing.T) {
 	// Optimum of a 2-SBS instance equals the sum of the two 1-SBS optima
 	// (the problem separates across SBSs).

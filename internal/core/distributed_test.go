@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"edgecache/internal/model"
@@ -51,6 +52,10 @@ func TestPerSBSExtraction(t *testing.T) {
 	}
 }
 
+// TestDistributedMatchesJoint checks the distributed deployment — one
+// independent Algorithm 1 run per SBS shard (SolveSharded), densified
+// back into the joint trajectory — against the joint Solve: the problem
+// separates across SBSs, so both must land on the same cost.
 func TestDistributedMatchesJoint(t *testing.T) {
 	in := multiInstance(t)
 	opts := Options{MaxIter: 30}
@@ -58,11 +63,12 @@ func TestDistributedMatchesJoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := SolveDistributed(context.Background(), in, opts)
+	dist, err := SolveSharded(context.Background(), in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.CheckTrajectory(dist.Trajectory, 1e-6); err != nil {
+	traj := dist.Densify(in)
+	if err := in.CheckTrajectory(traj, 1e-6); err != nil {
 		t.Fatalf("distributed trajectory infeasible: %v", err)
 	}
 	// Separability: the two must land on (essentially) the same cost. The
@@ -71,7 +77,7 @@ func TestDistributedMatchesJoint(t *testing.T) {
 		t.Fatalf("joint %g vs distributed %g", joint.Cost.Total, dist.Cost.Total)
 	}
 	// Reported breakdown must match the merged trajectory exactly.
-	br := in.TotalCost(dist.Trajectory)
+	br := in.TotalCost(traj)
 	if math.Abs(br.Total-dist.Cost.Total) > 1e-9*(1+br.Total) {
 		t.Fatalf("reported %g != recomputed %g", dist.Cost.Total, br.Total)
 	}
@@ -84,6 +90,9 @@ func TestDistributedMatchesJoint(t *testing.T) {
 	}
 }
 
+// TestDistributedSingleSBSDelegates checks that on a dense single-SBS
+// instance the one shard is the whole problem: the sharded solve is a
+// plain Solve, trajectory and bounds included.
 func TestDistributedSingleSBSDelegates(t *testing.T) {
 	cfg := workload.PaperDefault()
 	cfg.T = 4
@@ -99,19 +108,23 @@ func TestDistributedSingleSBSDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveDistributed(context.Background(), in, Options{MaxIter: 10})
+	b, err := SolveSharded(context.Background(), in, Options{MaxIter: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.Cost.Total-b.Cost.Total) > 1e-12 {
-		t.Fatalf("single-SBS delegation mismatch: %g vs %g", a.Cost.Total, b.Cost.Total)
+	if a.Cost != b.Cost || a.LowerBound != b.LowerBound || a.Gap != b.Gap {
+		t.Fatalf("single-SBS shard diverges from Solve: cost %+v vs %+v, LB %g vs %g, gap %g vs %g",
+			a.Cost, b.Cost, a.LowerBound, b.LowerBound, a.Gap, b.Gap)
+	}
+	if !reflect.DeepEqual(a.Trajectory, b.Densify(in)) {
+		t.Fatal("single-SBS shard trajectory diverges from Solve")
 	}
 }
 
 func TestDistributedValidates(t *testing.T) {
 	in := multiInstance(t)
 	in.T = 0
-	if _, err := SolveDistributed(context.Background(), in, Options{}); err == nil {
+	if _, err := SolveSharded(context.Background(), in, Options{}); err == nil {
 		t.Fatal("accepted invalid instance")
 	}
 }

@@ -23,12 +23,9 @@ import (
 	"math"
 	"time"
 
-	"edgecache/internal/caching"
 	"edgecache/internal/convex"
-	"edgecache/internal/loadbalance"
 	"edgecache/internal/model"
 	"edgecache/internal/obs"
-	"edgecache/internal/parallel"
 )
 
 // Always-on solver metrics (atomic; read by -metrics and /debug/vars).
@@ -88,7 +85,7 @@ type Options struct {
 	// controllers pass one workspace across their overlapping window
 	// solves to amortise per-instance precomputation; results are
 	// bit-identical either way. A workspace must not be shared by
-	// concurrent Solves (SolveDistributed therefore ignores this field).
+	// concurrent Solves (SolveSharded therefore ignores this field).
 	Workspace *Workspace
 	// Advance hints that the instance is the previous Solve's window shifted
 	// forward this many slots (receding horizon, same Workspace). Overlapping
@@ -456,60 +453,6 @@ func partialOnCtx(ctx context.Context, partial func() *Result) *Result {
 		return partial()
 	}
 	return nil
-}
-
-// RecoverFeasible completes integral placements into a fully feasible
-// trajectory by computing the optimal load split for each slot subject to
-// y ≤ x — the UB evaluation step of Algorithm 1. Slots are independent and
-// solved in parallel; cancellation is honoured at per-slot granularity.
-func RecoverFeasible(ctx context.Context, in *model.Instance, xPlans []model.CachePlan, opts convex.Options) (model.Trajectory, error) {
-	if len(xPlans) != in.T {
-		return nil, fmt.Errorf("core: %d placements for horizon %d", len(xPlans), in.T)
-	}
-	traj := make(model.Trajectory, in.T)
-	// Supervised: RecoverFeasible sits on the degradation path (it turns
-	// best-so-far iterates into committable plans), so a panic in one
-	// slot's recovery must degrade that slot, not crash the ladder.
-	err := parallel.ForSupervised(ctx, in.T, 0, func(t int) error {
-		y, err := loadbalance.OptimalGivenPlacement(in, t, xPlans[t], opts)
-		if err != nil {
-			return err
-		}
-		traj[t] = model.SlotDecision{X: xPlans[t].Clone(), Y: y}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return traj, nil
-}
-
-// LinearizedPlacements computes a heuristic placement trajectory by
-// solving the caching subproblem P1 with the true replacement cost β and
-// per-(item, slot) rewards equal to the linearised operating-cost saving
-// of caching the item: r^t_{n,k} = ∂f_t/∂u · Σ_m ω_m λ^t_{m,k} evaluated
-// at y = 0 (so ∂f/∂u = 2A_t). It is exact at β = 0 up to bandwidth
-// effects, switching-cost aware at every β, and serves as the upper-bound
-// seed of Solve.
-func LinearizedPlacements(ctx context.Context, in *model.Instance) ([]model.CachePlan, error) {
-	rewards := make([][][]float64, in.T)
-	for t := 0; t < in.T; t++ {
-		rewards[t] = make([][]float64, in.N)
-		for n := 0; n < in.N; n++ {
-			omega := in.OmegaBS[n]
-			var a float64
-			in.Demand.ForEachActive(t, n, func(m, k int, rate float64) {
-				a += omega[m] * rate
-			})
-			r := make([]float64, in.K)
-			in.Demand.ForEachActive(t, n, func(m, k int, rate float64) {
-				r[k] += 2 * a * omega[m] * rate
-			})
-			rewards[t][n] = r
-		}
-	}
-	plans, _, err := caching.SolveAll(ctx, in, rewards)
-	return plans, err
 }
 
 // autoStepScale calibrates the subgradient step to the problem's cost

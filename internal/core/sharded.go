@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"edgecache/internal/model"
@@ -43,7 +44,8 @@ type ShardSolution struct {
 // and Cost are sums (the objective and the dual bound separate across
 // SBSs), Iterations is the maximum across shards (the distributed
 // wall-clock), Converged is the conjunction, and Gap is recomputed from
-// the aggregate bounds.
+// the aggregate bounds with Result.Gap's definition,
+// max(0, (UB − LB) / max(|UB|, 1)).
 type ShardedResult struct {
 	Shards     []ShardSolution // index n
 	LowerBound float64
@@ -170,11 +172,6 @@ func SolveSharded(ctx context.Context, in *model.Instance, opts Options) (*Shard
 		}
 		agg.Converged = agg.Converged && sh.Converged
 	}
-	if agg.Cost.Total != 0 {
-		agg.Gap = (agg.Cost.Total - agg.LowerBound) / agg.Cost.Total
-		if agg.Gap < 0 {
-			agg.Gap = 0
-		}
-	}
+	agg.Gap = math.Max(0, (agg.Cost.Total-agg.LowerBound)/math.Max(math.Abs(agg.Cost.Total), 1))
 	return agg, nil
 }

@@ -100,12 +100,11 @@ func (ws *Workspace) Invalidate() {
 	ws.p2.Invalidate()
 }
 
-// ExportP2Iterates deep-copies the P2 dual load iterates and their
-// compact-path invariants — the cross-window warm-start state of the
-// incremental path (Options.Advance), which is the only solver state
-// inside the workspace that affects results across Solve calls. Valid
-// between a Solve and the next bind.
-func (ws *Workspace) ExportP2Iterates() ([][]float64, []bool) {
+// ExportP2Iterates deep-copies the P2 dual load iterates — the
+// cross-window warm-start state of the incremental path (Options.Advance),
+// which is the only solver state inside the workspace that affects
+// results across Solve calls. Valid between a Solve and the next bind.
+func (ws *Workspace) ExportP2Iterates() [][]float64 {
 	return ws.p2.ExportIterates()
 }
 
@@ -116,14 +115,20 @@ func (ws *Workspace) ExportP2Iterates() ([][]float64, []bool) {
 // stay cold: both are bit-exact result-neutral (the next Solve rebinds P1
 // and recomputes recoveries to identical values), so a restored
 // workspace's subsequent solves reproduce the uninterrupted run exactly.
-func (ws *Workspace) RestoreP2(win *model.Instance, y [][]float64, compactOK []bool) error {
+func (ws *Workspace) RestoreP2(win *model.Instance, y [][]float64) error {
 	ws.p2.Bind(win)
-	return ws.p2.ImportIterates(y, compactOK)
+	return ws.p2.ImportIterates(y)
 }
 
-// linearizedPlacements is LinearizedPlacements on workspace state: the
-// same reward arithmetic written into the reused buffer, solved on the
-// reused P1 networks. The returned plans alias the workspace.
+// linearizedPlacements computes a heuristic placement trajectory by
+// solving the caching subproblem P1 with the true replacement cost β and
+// per-(item, slot) rewards equal to the linearised operating-cost saving
+// of caching the item: r^t_{n,k} = ∂f_t/∂u · Σ_m ω_m λ^t_{m,k} evaluated
+// at y = 0 (so ∂f/∂u = 2A_t). It is exact at β = 0 up to bandwidth
+// effects, switching-cost aware at every β, and serves as the upper-bound
+// seed of Solve. The rewards are written into the reused buffer and
+// solved on the reused P1 networks; the returned plans alias the
+// workspace.
 func (ws *Workspace) linearizedPlacements(ctx context.Context, in *model.Instance) ([]model.CachePlan, error) {
 	for t := 0; t < in.T; t++ {
 		for n := 0; n < in.N; n++ {

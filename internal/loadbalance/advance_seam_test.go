@@ -26,14 +26,14 @@ func seamInstance(t *testing.T) *model.Instance {
 // ExportIterates. Rotation-only: the workspace must not solve afterwards.
 func tagIterates(t *testing.T, ws *Workspace, slots int) {
 	t.Helper()
-	y, ok := ws.ExportIterates()
+	y := ws.ExportIterates()
 	if len(y) != slots {
 		t.Fatalf("workspace has %d slot states, want %d", len(y), slots)
 	}
 	for i := range y {
 		y[i][0] = float64(100 + i)
 	}
-	if err := ws.ImportIterates(y, ok); err != nil {
+	if err := ws.ImportIterates(y); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,7 +70,7 @@ func TestBindAdvanceTailShrink(t *testing.T) {
 	tagIterates(t, ws, 4)
 	ws.BindAdvance(winB, 1, true)
 
-	y, _ := ws.ExportIterates()
+	y := ws.ExportIterates()
 	if len(y) != 3 {
 		t.Fatalf("shrunk window has %d slot states, want 3", len(y))
 	}
@@ -134,7 +134,7 @@ func TestBindAdvanceTrustsTheHintOnStationaryPlanes(t *testing.T) {
 		ws.Bind(winA)
 		tagIterates(t, ws, 4)
 		ws.BindAdvance(winB, advance, true)
-		y, _ := ws.ExportIterates()
+		y := ws.ExportIterates()
 		tags := make([]float64, len(y))
 		for i := range y {
 			tags[i] = y[i][0]
@@ -176,25 +176,49 @@ func TestImportIteratesRoundTrip(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Bind(win)
 	tagIterates(t, ws, 4)
-	y, ok := ws.ExportIterates()
+	y := ws.ExportIterates()
 
 	ws2 := NewWorkspace()
 	ws2.Bind(win)
-	if err := ws2.ImportIterates(y, ok); err != nil {
+	if err := ws2.ImportIterates(y); err != nil {
 		t.Fatal(err)
 	}
-	y2, ok2 := ws2.ExportIterates()
+	y2 := ws2.ExportIterates()
 	for i := range y {
-		if !equalFloats(y[i], y2[i]) || ok[i] != ok2[i] {
-			t.Fatalf("slot %d did not round-trip: %v/%v vs %v/%v", i, y[i], ok[i], y2[i], ok2[i])
+		if !equalFloats(y[i], y2[i]) {
+			t.Fatalf("slot %d did not round-trip: %v vs %v", i, y[i], y2[i])
 		}
 	}
-	if err := ws2.ImportIterates(y[:2], ok[:2]); err == nil {
+	if err := ws2.ImportIterates(y[:2]); err == nil {
 		t.Error("ImportIterates accepted a short payload")
 	}
 	bad := append([][]float64{}, y...)
 	bad[1] = bad[1][:1]
-	if err := ws2.ImportIterates(bad, ok); err == nil {
+	if err := ws2.ImportIterates(bad); err == nil {
 		t.Error("ImportIterates accepted a mis-sized iterate")
+	}
+
+	// A nonzero entry at a λ = 0 coordinate is a state no solve produces;
+	// the active view would carry it silently, so import refuses it.
+	sp := sparseInstance(t)
+	ws3 := NewWorkspace()
+	ws3.Bind(sp)
+	ys := ws3.ExportIterates()
+	planted := false
+plant:
+	for i, s := range ws3.slots {
+		for j, v := range s.lambda {
+			if v == 0 {
+				ys[i][j] = 0.5
+				planted = true
+				break plant
+			}
+		}
+	}
+	if !planted {
+		t.Fatal("sparse instance has no zero-demand coordinate")
+	}
+	if err := ws3.ImportIterates(ys); err == nil {
+		t.Error("ImportIterates accepted a nonzero iterate at a zero-demand coordinate")
 	}
 }

@@ -22,7 +22,6 @@
 package loadbalance
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -221,36 +220,6 @@ func ForInstance(in *model.Instance, t, n int, mu, upper []float64) *SlotProblem
 		Mu:        mu,
 		Upper:     upper,
 	}
-}
-
-// SolveAll solves P2 for every (t, n) of an instance given flat dual rows
-// mu[t][n] (each of length M_n·K; the outer slices may be nil for zero
-// duals) and returns per-slot load plans plus the total P2 objective.
-// warm, when non-nil, supplies the previous iterate's load plans as warm
-// starts. The (slot, SBS) subproblems are independent and solved in
-// parallel on the shared worker pool; cancellation is checked at per-slot
-// granularity and surfaces as a wrapped ctx.Err().
-//
-// SolveAll builds a throwaway Workspace per call; the primal-dual loop
-// holds one across its iterations instead, which is where the warm starts
-// and precomputations pay off.
-func SolveAll(ctx context.Context, in *model.Instance, mu [][][]float64, warm []model.LoadPlan, opts convex.Options) ([]model.LoadPlan, float64, error) {
-	if mu != nil && len(mu) != in.T {
-		return nil, 0, fmt.Errorf("loadbalance: mu covers %d slots, want %d", len(mu), in.T)
-	}
-	if warm != nil && len(warm) != in.T {
-		return nil, 0, fmt.Errorf("loadbalance: warm start covers %d slots, want %d", len(warm), in.T)
-	}
-	ws := NewWorkspace()
-	ws.Bind(in)
-	if warm != nil {
-		ws.seedWarm(warm)
-	}
-	total, err := ws.SolveDual(ctx, mu, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ws.ExportPlans(), total, nil
 }
 
 // OptimalGivenPlacement returns the cost-minimal feasible load split for

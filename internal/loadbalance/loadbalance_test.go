@@ -166,12 +166,18 @@ func paperInstance(t *testing.T, mutate func(*workload.InstanceConfig)) *model.I
 	return in
 }
 
+// TestSolveAllShapesAndFeasibility checks the full (t, n) dual sweep at
+// zero duals: one plan per slot, a non-negative objective, and every
+// exported split within its slot's bandwidth.
 func TestSolveAllShapesAndFeasibility(t *testing.T) {
 	in := paperInstance(t, nil)
-	plans, total, err := SolveAll(context.Background(), in, nil, nil, convex.Options{})
+	ws := NewWorkspace()
+	ws.Bind(in)
+	total, err := ws.SolveDual(context.Background(), nil, convex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plans := ws.ExportPlans()
 	if len(plans) != in.T {
 		t.Fatalf("plans cover %d slots, want %d", len(plans), in.T)
 	}
@@ -201,10 +207,14 @@ func TestSolveAllShapesAndFeasibility(t *testing.T) {
 	}
 }
 
+// TestSolveAllMuShape checks the dual sweep rejects multipliers that do
+// not cover the horizon.
 func TestSolveAllMuShape(t *testing.T) {
 	in := paperInstance(t, nil)
-	if _, _, err := SolveAll(context.Background(), in, make([][][]float64, 1), nil, convex.Options{}); err == nil {
-		t.Fatal("SolveAll accepted short mu")
+	ws := NewWorkspace()
+	ws.Bind(in)
+	if _, err := ws.SolveDual(context.Background(), make([][][]float64, 1), convex.Options{}); err == nil {
+		t.Fatal("SolveDual accepted short mu")
 	}
 }
 

@@ -62,9 +62,9 @@ type Workspace struct {
 
 // slotState is the persistent P2 state of one (slot, SBS) pair.
 type slotState struct {
-	t, n   int
-	m, k   int
-	dim    int       // m·k
+	t, n     int
+	m, k     int
+	dim      int       // m·k
 	lambda   []float64 // owned dense copy of the demand plane
 	omega    []float64 // aliases OmegaBS[n]
 	omegaSBS []float64 // aliases OmegaSBS[n]
@@ -80,25 +80,30 @@ type slotState struct {
 	y        []float64 // persistent dual iterate — the warm start
 	recovY   []float64 // recovery iterate (separate: must not clobber y)
 	hi       []float64 // recovery upper bounds
-	lo       []float64 // aliases Workspace.zeros
-	mu       []float64 // bound per solve; nil = zero duals
-	hiActive bool      // project onto [lo, hi] instead of the unit box
+	lo       []float64 // aliases Workspace.zeros, view length
+	mu       []float64 // μ over the view, bound per solve; nil = zero duals
+	hiActive bool      // project onto [lo, vhi] instead of the unit box
 
-	// Compact active-coordinate plane: the coordinates with λ ≠ 0, the
-	// only ones FISTA can move (zero-λ coordinates keep y = 0 exactly —
-	// their gradient is the non-negative μ and the projection clamps them
-	// at the lower bound — and they contribute an exact +0.0 to every dot
-	// product, norm and knapsack load of the dense solve). The dual solve
-	// therefore runs over these coordinates alone, bit-identically, with
-	// cost per iteration O(active) instead of O(M·K). act == nil means the
-	// plane is fully dense and pruning buys nothing. compactOK guards the
-	// invariant "inactive coordinates of y are exactly 0", which external
-	// warm starts (seedWarm) can break; they fall back to the dense path.
-	act           []int
-	lamC, wC, whC []float64
-	muC, yC       []float64
-	probC         convex.Problem
-	compactOK     bool
+	// The active view: every P2 solve of the slot — dual iteration and
+	// recovery alike — runs over the coordinates with λ ≠ 0 only. The
+	// others cannot move: their gradient is the non-negative μ (or zero),
+	// the projection clamps them at the lower bound 0, and they add an
+	// exact +0.0 to every dot product, norm and knapsack load of the
+	// dense solve. So the FISTA trajectory over the view is bit-identical
+	// to the dense one at O(active) cost per iteration. On a dense plane
+	// (every coordinate active) the view aliases the dense rows and act is
+	// nil; otherwise the view is the gather over act into the compact
+	// buffers. The dense test is explicit: an all-zero plane has no active
+	// coordinate and is compact, with an empty view.
+	//
+	// The view relies on the invariant that inactive coordinates of y are
+	// exactly 0: bind zeroes them, solves write only active coordinates
+	// back, and ImportIterates rejects iterates that break it.
+	act                []int
+	dense              bool
+	vlam, vw, vwh, vhi []float64 // λ, w, ŵ and recovery bounds over the view
+	lamC, wC, whC, hiC []float64 // their gather buffers on compact planes
+	muC, yC            []float64 // μ and iterate gather buffers
 
 	// Delta-aware re-solve state. fixed records that the last dual solve
 	// was a bitwise fixed point — Minimize returned its warm start
@@ -287,19 +292,16 @@ func (s *slotState) bindReuse(ws *Workspace, in *model.Instance, t, n int, carry
 	}
 	s.omega = in.OmegaBS[n]
 	s.omegaSBS = in.OmegaSBS[n]
-	s.lo = ws.zeros[:s.dim]
+	s.lo = ws.zeros[:len(s.vlam)]
 	s.mu = nil
 	s.hiActive = false
-	if carry {
-		// Keep s.y (the iterate of the same absolute slot) and its
-		// compactOK invariant; the fixed-point certificate still dies —
-		// the caller's μ row for this slot is about to change.
-		s.fixed = false
-	} else {
+	// With carry, s.y (the iterate of the same absolute slot, hence of the
+	// same active view) stays; the fixed-point certificate dies either way
+	// — the caller's μ row for this slot is about to change.
+	if !carry {
 		zero(s.y)
-		s.compactOK = true
-		s.fixed = false
 	}
+	s.fixed = false
 }
 
 // equalFloats reports elementwise float64 equality (==; a NaN anywhere
@@ -315,7 +317,6 @@ func equalFloats(a, b []float64) bool {
 	}
 	return true
 }
-
 
 func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 	m, k := in.Classes[n], in.K
@@ -349,7 +350,6 @@ func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 	s.yOut = grow(s.yOut, dim)
 	s.recovY = grow(s.recovY, dim)
 	s.hi = grow(s.hi, dim)
-	s.lo = zeros[:dim]
 	s.mu = nil
 	s.hiActive = false
 	s.fixed = false
@@ -369,36 +369,54 @@ func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 	order := s.order
 	sort.SliceStable(order, func(i, j int) bool { return omega[order[i]] > omega[order[j]] })
 
-	// Compact plane: gather the λ ≠ 0 coordinates. A fully dense plane
-	// keeps act == nil and the pruned path stays out of the way.
+	// Active view: gather the λ ≠ 0 coordinates unless all of them are.
 	s.act = growInts(s.act, 0)
 	for i, v := range s.lambda {
 		if v != 0 {
 			s.act = append(s.act, i)
 		}
 	}
-	if len(s.act) == dim {
+	s.dense = len(s.act) == dim
+	if s.dense {
 		s.act = nil
+		s.vlam, s.vw, s.vwh = s.lambda, s.w, s.wh
 	} else {
 		na := len(s.act)
-		s.lamC = grow(s.lamC, na)
-		s.wC = grow(s.wC, na)
-		s.whC = grow(s.whC, na)
+		s.lamC, s.wC, s.whC = grow(s.lamC, na), grow(s.wC, na), grow(s.whC, na)
+		s.vlam, s.vw, s.vwh = s.gather(s.lamC, s.lambda), s.gather(s.wC, s.w), s.gather(s.whC, s.wh)
+		s.hiC = grow(s.hiC, na)
 		s.muC = grow(s.muC, na)
 		s.yC = grow(s.yC, na)
-		for i, j := range s.act {
-			s.lamC[i] = s.lambda[j]
-			s.wC[i] = s.w[j]
-			s.whC[i] = s.wh[j]
-		}
 	}
-	s.compactOK = true
+	s.lo = zeros[:len(s.vlam)]
 
 	if s.prob.Func == nil {
 		s.prob = convex.Problem{Func: s.objFunc, Grad: s.gradFunc, Project: s.projFunc}
 	}
-	if s.probC.Func == nil {
-		s.probC = convex.Problem{Func: s.objFuncC, Grad: s.gradFuncC, Project: s.projFuncC}
+}
+
+// gather returns src over the active view: src itself on a dense plane,
+// otherwise its active coordinates copied into buf (len(buf) ≥ active).
+func (s *slotState) gather(buf, src []float64) []float64 {
+	if s.dense {
+		return src
+	}
+	buf = buf[:len(s.act)]
+	for i, j := range s.act {
+		buf[i] = src[j]
+	}
+	return buf
+}
+
+// scatter writes the view vector src back into the dense row dst; the
+// inactive coordinates of dst are left alone.
+func (s *slotState) scatter(dst, src []float64) {
+	if s.dense {
+		copy(dst, src)
+		return
+	}
+	for i, j := range s.act {
+		dst[j] = src[i]
 	}
 }
 
@@ -425,17 +443,17 @@ func zero(v []float64) {
 	}
 }
 
-// objFunc is SlotProblem.Solve's objective closure over precomputed state.
-// When ŵ ≡ 0 the v-terms are skipped: v is exactly +0 there (Σ of +0
-// products), so v² = +0 and adding it cannot change any bit of the result
-// ((a−u)² ≥ +0).
+// objFunc is SlotProblem.Solve's objective closure over precomputed state,
+// evaluated on the active view. When ŵ ≡ 0 the v-terms are skipped: v is
+// exactly +0 there (Σ of +0 products), so v² = +0 and adding it cannot
+// change any bit of the result ((a−u)² ≥ +0).
 func (s *slotState) objFunc(y []float64) float64 {
-	u := mat.Dot(s.w, y)
+	u := mat.Dot(s.vw, y)
 	var obj float64
 	if s.whZero {
 		obj = (s.a - u) * (s.a - u)
 	} else {
-		v := mat.Dot(s.wh, y)
+		v := mat.Dot(s.vwh, y)
 		obj = (s.a-u)*(s.a-u) + v*v
 	}
 	if s.mu != nil {
@@ -450,9 +468,9 @@ func (s *slotState) objFunc(y []float64) float64 {
 // which Go's == (and hence reflect.DeepEqual) treats as equal and which no
 // downstream arithmetic can amplify (such coordinates have w = λ = 0).
 func (s *slotState) gradFunc(y, grad []float64) {
-	u := mat.Dot(s.w, y)
+	u := mat.Dot(s.vw, y)
 	cu := -2 * (s.a - u)
-	w := s.w[:len(grad)]
+	w := s.vw[:len(grad)]
 	if s.whZero {
 		if s.mu != nil {
 			mu := s.mu[:len(grad)]
@@ -466,9 +484,9 @@ func (s *slotState) gradFunc(y, grad []float64) {
 		}
 		return
 	}
-	v := mat.Dot(s.wh, y)
+	v := mat.Dot(s.vwh, y)
 	cv := 2 * v
-	wh := s.wh[:len(grad)]
+	wh := s.vwh[:len(grad)]
 	if s.mu != nil {
 		mu := s.mu[:len(grad)]
 		for i := range grad {
@@ -483,67 +501,9 @@ func (s *slotState) gradFunc(y, grad []float64) {
 
 func (s *slotState) projFunc(dst, z []float64) ([]float64, error) {
 	if s.hiActive {
-		return projection.BoxKnapsack(dst, z, s.lo, s.hi, s.lambda, s.bw)
+		return projection.BoxKnapsack(dst, z, s.lo, s.vhi, s.vlam, s.bw)
 	}
-	return projection.UnitBoxKnapsack(dst, z, s.lambda, s.bw)
-}
-
-// objFuncC, gradFuncC and projFuncC are the compact-plane twins of the
-// dense closures: identical arithmetic over the gathered λ ≠ 0
-// coordinates. The dense sums they reproduce only ever add +0.0 terms at
-// the skipped coordinates (w = ŵ = λ = 0 there and y is pinned at 0), so
-// objective values, gradients, projections — and hence the whole FISTA
-// trajectory and its stopping decisions — match the dense path bit for
-// bit.
-func (s *slotState) objFuncC(y []float64) float64 {
-	u := mat.Dot(s.wC[:len(y)], y)
-	var obj float64
-	if s.whZero {
-		obj = (s.a - u) * (s.a - u)
-	} else {
-		v := mat.Dot(s.whC[:len(y)], y)
-		obj = (s.a-u)*(s.a-u) + v*v
-	}
-	if s.mu != nil {
-		obj += mat.Dot(s.mu, y)
-	}
-	return obj
-}
-
-func (s *slotState) gradFuncC(y, grad []float64) {
-	u := mat.Dot(s.wC[:len(y)], y)
-	cu := -2 * (s.a - u)
-	w := s.wC[:len(grad)]
-	if s.whZero {
-		if s.mu != nil {
-			mu := s.mu[:len(grad)]
-			for i := range grad {
-				grad[i] = cu*w[i] + mu[i]
-			}
-		} else {
-			for i := range grad {
-				grad[i] = cu * w[i]
-			}
-		}
-		return
-	}
-	v := mat.Dot(s.whC[:len(y)], y)
-	cv := 2 * v
-	wh := s.whC[:len(grad)]
-	if s.mu != nil {
-		mu := s.mu[:len(grad)]
-		for i := range grad {
-			grad[i] = cu*w[i] + cv*wh[i] + mu[i]
-		}
-	} else {
-		for i := range grad {
-			grad[i] = cu*w[i] + cv*wh[i]
-		}
-	}
-}
-
-func (s *slotState) projFuncC(dst, z []float64) ([]float64, error) {
-	return projection.UnitBoxKnapsack(dst, z, s.lamC[:len(z)], s.bw)
+	return projection.UnitBoxKnapsack(dst, z, s.vlam, s.bw)
 }
 
 // applyDefaults mirrors SlotProblem.Solve's per-call option defaulting.
@@ -560,66 +520,29 @@ func (s *slotState) applyDefaults(opts convex.Options) convex.Options {
 	return opts
 }
 
-// solveDual runs this slot's warm-started dual solve, leaving the iterate
-// in s.y for the next iteration, and returns the objective value. Planes
-// with inactive (λ = 0) coordinates solve over the compact gather instead
-// of the dense row whenever the pruning invariant holds — bit-identical
-// results either way.
+// solveDual runs this slot's warm-started dual solve over the active
+// view, leaving the iterate in s.y for the next iteration, and returns the
+// objective value.
 func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error) {
 	if mu != nil && len(mu) != s.dim {
 		return 0, fmt.Errorf("loadbalance: mu has %d entries, want %d", len(mu), s.dim)
 	}
-	if s.act != nil && s.compactOK {
-		return s.solveDualCompact(mu, opts)
+	y := s.gather(s.yC, s.y)
+	s.mu = nil
+	if mu != nil {
+		s.mu = s.gather(s.muC, mu)
 	}
-	s.mu = mu
 	s.hiActive = false
 	start := time.Now()
-	out := s.yOut[:s.dim]
-	res, err := s.cw.Minimize(s.prob, s.y, out, s.applyDefaults(opts))
+	out := s.yOut[:len(y)]
+	res, err := s.cw.Minimize(s.prob, y, out, s.applyDefaults(opts))
 	if err != nil {
 		s.fixed = false
 		return 0, err
 	}
-	s.fixed = equalFloats(out, s.y[:s.dim])
+	s.fixed = equalFloats(out, y)
 	s.lastOpts = opts
-	copy(s.y, out)
-	mSlotSolves.Inc()
-	mGradSteps.Add(int64(res.Iterations))
-	mSolveTime.Observe(time.Since(start))
-	return res.Value, nil
-}
-
-// solveDualCompact is solveDual over the active coordinates only: gather
-// the warm iterate and μ, minimise, scatter back. Inactive coordinates of
-// s.y stay exactly 0, which is also what the dense path would leave there.
-func (s *slotState) solveDualCompact(mu []float64, opts convex.Options) (float64, error) {
-	na := len(s.act)
-	yC := s.yC[:na]
-	for i, j := range s.act {
-		yC[i] = s.y[j]
-	}
-	if mu != nil {
-		muC := s.muC[:na]
-		for i, j := range s.act {
-			muC[i] = mu[j]
-		}
-		s.mu = muC
-	} else {
-		s.mu = nil
-	}
-	start := time.Now()
-	out := s.yOut[:na]
-	res, err := s.cw.Minimize(s.probC, yC, out, s.applyDefaults(opts))
-	if err != nil {
-		s.fixed = false
-		return 0, err
-	}
-	s.fixed = equalFloats(out, yC)
-	s.lastOpts = opts
-	for i, j := range s.act {
-		s.y[j] = out[i]
-	}
+	s.scatter(s.y, out)
 	mSlotSolves.Inc()
 	mGradSteps.Add(int64(res.Iterations))
 	mSolveTime.Observe(time.Since(start))
@@ -653,15 +576,18 @@ func (s *slotState) recover(xn []float64, yn [][]float64, opts convex.Options) e
 			s.hi[base+k] = mat.Clamp(xn[k], 0, 1)
 		}
 	}
+	s.vhi = s.gather(s.hiC, s.hi)
 	s.mu = nil
 	s.hiActive = true
 	zero(s.recovY)
+	y := s.gather(s.yC, s.recovY)
 	start := time.Now()
-	res, err := s.cw.Minimize(s.prob, s.recovY, s.recovY, s.applyDefaults(opts))
+	res, err := s.cw.Minimize(s.prob, y, y, s.applyDefaults(opts))
 	s.hiActive = false
 	if err != nil {
 		return err
 	}
+	s.scatter(s.recovY, y)
 	mSlotSolves.Inc()
 	mGradSteps.Add(int64(res.Iterations))
 	mSolveTime.Observe(time.Since(start))
@@ -709,6 +635,9 @@ func (s *slotState) greedyRecover(xn []float64, yn [][]float64) {
 // duals); its rows are read but never retained. Iterates stay inside the
 // workspace: read them with DualY or materialise plans with ExportPlans.
 func (ws *Workspace) SolveDual(ctx context.Context, mu [][][]float64, opts convex.Options) (float64, error) {
+	if mu != nil && len(mu) != ws.in.T {
+		return 0, fmt.Errorf("loadbalance: mu covers %d slots, want %d", len(mu), ws.in.T)
+	}
 	ws.mu = mu
 	ws.opts = opts
 	err := parallel.For(ctx, len(ws.slots), 0, ws.dualFn)
@@ -759,35 +688,41 @@ func (ws *Workspace) SolveDualDirty(ctx context.Context, mu [][][]float64, opts 
 func (ws *Workspace) Invalidate() { ws.in = nil }
 
 // ExportIterates returns deep copies of the per-(t, n) dual load
-// iterates and their compact-path invariants, indexed t·N + n — the
-// cross-window warm-start state a snapshot must carry (everything else
-// the next bind recomputes from the instance). Valid only while the
-// workspace is bound.
-func (ws *Workspace) ExportIterates() ([][]float64, []bool) {
+// iterates, indexed t·N + n — the cross-window warm-start state a
+// snapshot must carry (everything else the next bind recomputes from the
+// instance). Valid only while the workspace is bound.
+func (ws *Workspace) ExportIterates() [][]float64 {
 	y := make([][]float64, len(ws.slots))
-	ok := make([]bool, len(ws.slots))
 	for i, s := range ws.slots {
 		y[i] = append([]float64(nil), s.y[:s.dim]...)
-		ok[i] = s.compactOK
 	}
-	return y, ok
+	return y
 }
 
 // ImportIterates loads previously exported dual iterates into a freshly
-// bound workspace (restore path): iterate values and compactOK flags are
-// taken verbatim, the fixed-point certificates stay dead (the next bind
-// kills them on the live path too, so restored and uninterrupted
-// workspaces are indistinguishable to the solver).
-func (ws *Workspace) ImportIterates(y [][]float64, compactOK []bool) error {
-	if len(y) != len(ws.slots) || len(compactOK) != len(ws.slots) {
+// bound workspace (restore path): iterate values are taken verbatim, the
+// fixed-point certificates stay dead (the next bind kills them on the
+// live path too, so restored and uninterrupted workspaces are
+// indistinguishable to the solver). Iterates come from outside the
+// program, so one with a nonzero entry at a λ = 0 coordinate — a state no
+// solve can produce, and one the active view would silently carry — is
+// rejected.
+func (ws *Workspace) ImportIterates(y [][]float64) error {
+	if len(y) != len(ws.slots) {
 		return fmt.Errorf("loadbalance: %d iterates for %d slots", len(y), len(ws.slots))
 	}
 	for i, s := range ws.slots {
 		if len(y[i]) != s.dim {
 			return fmt.Errorf("loadbalance: iterate %d has %d entries, want %d", i, len(y[i]), s.dim)
 		}
+		for j, v := range y[i] {
+			if v != 0 && s.lambda[j] == 0 {
+				return fmt.Errorf("loadbalance: iterate %d is %g at zero-demand coordinate %d", i, v, j)
+			}
+		}
+	}
+	for i, s := range ws.slots {
 		copy(s.y[:s.dim], y[i])
-		s.compactOK = compactOK[i]
 		s.fixed = false
 	}
 	return nil
@@ -815,48 +750,6 @@ func (ws *Workspace) ExportPlans() []model.LoadPlan {
 		}
 	}
 	return plans
-}
-
-// seedWarm loads external warm-start plans into the dual iterates —
-// SolveAll's warm parameter. Nil per-slot entries keep the zero start.
-func (ws *Workspace) seedWarm(warm []model.LoadPlan) {
-	in := ws.in
-	for t := 0; t < in.T; t++ {
-		if warm[t] == nil {
-			continue
-		}
-		for n := 0; n < in.N; n++ {
-			s := ws.slots[t*in.N+n]
-			for m := 0; m < in.Classes[n]; m++ {
-				copy(s.y[m*in.K:(m+1)*in.K], warm[t][n][m])
-			}
-			s.refreshCompactOK()
-			s.fixed = false // the iterate moved under the solver's feet
-		}
-	}
-}
-
-// refreshCompactOK re-derives the pruning invariant after an external
-// warm start: the compact dual path is exact only while every inactive
-// (λ = 0) coordinate of the iterate is exactly 0. Warm plans produced by
-// the greedy recovery set y = 1 on cached zero-rate items, which the
-// dense solve would carry along; such slots take the dense path.
-func (s *slotState) refreshCompactOK() {
-	if s.act == nil {
-		return
-	}
-	ai := 0
-	for i, v := range s.y {
-		if ai < len(s.act) && s.act[ai] == i {
-			ai++
-			continue
-		}
-		if v != 0 {
-			s.compactOK = false
-			return
-		}
-	}
-	s.compactOK = true
 }
 
 // Recover completes integral placements into a feasible trajectory — the

@@ -12,8 +12,8 @@ import (
 	"edgecache/internal/workload"
 )
 
-// referenceSolveAll is the pre-workspace SolveAll loop, kept verbatim as
-// the byte-exactness oracle: per (t, n) it constructs the subproblem and
+// referenceSolveAll is the pre-workspace P2 sweep, kept verbatim as the
+// byte-exactness oracle: per (t, n) it constructs the subproblem and
 // solves it with SlotProblem.Solve, warm-starting from the previous
 // iteration's plans.
 func referenceSolveAll(t *testing.T, in *model.Instance, mu [][][]float64, warm []model.LoadPlan, opts convex.Options) ([]model.LoadPlan, float64) {
@@ -119,23 +119,36 @@ func TestWorkspaceDualMatchesReference(t *testing.T) {
 }
 
 // TestWorkspaceRecoverMatchesReference checks the workspace recovery —
-// greedy and FISTA paths — against OptimalGivenPlacement, and that it
-// leaves the dual iterates untouched.
+// greedy and FISTA paths, on dense planes and on sparse ones (where the
+// FISTA path runs over the compact active view) — against
+// OptimalGivenPlacement, and that it leaves the dual iterates untouched.
 func TestWorkspaceRecoverMatchesReference(t *testing.T) {
-	for _, sbsCost := range []float64{0, 0.3} {
+	for _, c := range []struct {
+		sbsCost float64
+		opts    []workload.Option
+	}{
+		{0, nil},
+		{0.3, nil},
+		{0, []workload.Option{workload.WithSparse(3)}},
+		{0.3, []workload.Option{workload.WithSparse(3)}},
+	} {
+		sbsCost := c.sbsCost
 		cfg := workload.PaperDefault()
 		cfg.N = 2
 		cfg.T = 4
 		cfg.K = 10
 		cfg.ClassesPerSBS = 3
 		cfg.OmegaSBSRatio = sbsCost
-		in, err := workload.BuildInstance(cfg)
+		in, err := workload.BuildInstanceWith(cfg, c.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		ws := NewWorkspace()
 		ws.Bind(in)
+		if c.opts != nil && ws.slots[0].dense {
+			t.Fatal("sparse input bound a dense plane — the compact view is not exercised")
+		}
 		opts := convex.Options{StepTol: 1e-6, MaxIter: 600}
 		rng := rand.New(rand.NewPCG(9, uint64(sbsCost*10)))
 		if _, err := ws.SolveDual(context.Background(), randomMu(rng, in, 2.0), opts); err != nil {
@@ -179,42 +192,6 @@ func TestWorkspaceRecoverMatchesReference(t *testing.T) {
 				t.Fatalf("ωSBS=%g: recovery clobbered the dual iterate of slot %d", sbsCost, i)
 			}
 		}
-	}
-}
-
-// TestSolveAllMatchesReference pins the rewritten package-level SolveAll
-// (workspace-backed) to the reference loop, including warm starts.
-func TestSolveAllMatchesReference(t *testing.T) {
-	cfg := workload.PaperDefault()
-	cfg.N = 2
-	cfg.T = 3
-	cfg.K = 8
-	cfg.ClassesPerSBS = 3
-	in, err := workload.BuildInstance(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(21, 22))
-	opts := convex.Options{StepTol: 1e-6, MaxIter: 600}
-	mu := randomMu(rng, in, 2.0)
-
-	wantPlans, wantTotal := referenceSolveAll(t, in, mu, nil, opts)
-	gotPlans, gotTotal, err := SolveAll(context.Background(), in, mu, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotTotal != wantTotal || !reflect.DeepEqual(gotPlans, wantPlans) {
-		t.Fatal("cold SolveAll diverges from reference")
-	}
-
-	mu2 := randomMu(rng, in, 2.0)
-	wantPlans2, wantTotal2 := referenceSolveAll(t, in, mu2, wantPlans, opts)
-	gotPlans2, gotTotal2, err := SolveAll(context.Background(), in, mu2, gotPlans, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotTotal2 != wantTotal2 || !reflect.DeepEqual(gotPlans2, wantPlans2) {
-		t.Fatal("warm SolveAll diverges from reference")
 	}
 }
 

@@ -70,14 +70,6 @@ func (d *Demand) Set(t, n, m, k int, v float64) {
 	d.data[t][n][m*d.k+k] = v
 }
 
-// Slot returns the row-major (class, content) rate matrix for (t, n). The
-// returned slice aliases internal storage and must be treated as read-only.
-//
-// Deprecated: Slot hard-codes O(K) work per plane and cannot be served
-// cheaply by sparse backings. Use ForEachActive, At or CopySlot (see the
-// DemandView contract).
-func (d *Demand) Slot(t, n int) []float64 { return d.data[t][n] }
-
 // CopySlot writes the row-major (class, content) rate matrix of (t, n)
 // into dst, growing it when needed, and returns it. The result never
 // aliases internal storage.
@@ -191,10 +183,9 @@ func (d *Demand) Map(f func(t, n, m, k int, v float64) float64) DemandView {
 
 // CheckValues verifies every rate is a finite non-negative number,
 // returning a field-precise error for the first offender. Set and Map
-// maintain this invariant themselves, but tensors assembled through the
-// aliasing Slot rows (or deserialised by hand) can smuggle NaN/Inf rates
-// that historically only surfaced as solver misbehaviour deep in the
-// primal-dual loop; Instance.Validate calls this so such tensors are
+// maintain this invariant themselves, but tensors filled by hand can
+// smuggle NaN/Inf rates that historically only surfaced as solver
+// misbehaviour deep in the primal-dual loop; Instance.Validate calls this so such tensors are
 // rejected at construction instead. The scan is memoised: once a tensor
 // passes it is never rescanned, so repeated validation (one per window
 // solve) costs one atomic load.

@@ -37,20 +37,23 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"Inf omega BS", func(in *Instance) { in.OmegaBS[1][0] = inf }, "OmegaBS[1][0]"},
 		{"NaN omega SBS", func(in *Instance) { in.OmegaSBS[0][0] = nan }, "OmegaSBS[0][0]"},
 		{"Inf omega SBS", func(in *Instance) { in.OmegaSBS[1][0] = inf }, "OmegaSBS[1][0]"},
-		// Set panics on bad rates, so smuggle the value through the
-		// aliasing Slot row of a fresh (never-validated) tensor — the
-		// path CheckValues exists to catch.
+		// Set panics on bad rates, so smuggle the value straight into the
+		// storage of a fresh (never-validated) tensor — the path
+		// CheckValues exists to catch.
 		{"NaN demand", func(in *Instance) {
-			in.Demand = NewDemand(2, []int{2, 1}, 3)
-			in.Demand.Slot(1, 0)[2] = nan
+			d := NewDemand(2, []int{2, 1}, 3)
+			d.data[1][0][2] = nan
+			in.Demand = d
 		}, "λ(t=1, n=0, m=0, k=2)"},
 		{"Inf demand", func(in *Instance) {
-			in.Demand = NewDemand(2, []int{2, 1}, 3)
-			in.Demand.Slot(0, 1)[0] = inf
+			d := NewDemand(2, []int{2, 1}, 3)
+			d.data[0][1][0] = inf
+			in.Demand = d
 		}, "λ(t=0, n=1, m=0, k=0)"},
 		{"negative demand", func(in *Instance) {
-			in.Demand = NewDemand(2, []int{2, 1}, 3)
-			in.Demand.Slot(0, 0)[4] = -3
+			d := NewDemand(2, []int{2, 1}, 3)
+			d.data[0][0][4] = -3
+			in.Demand = d
 		}, "λ(t=0, n=0, m=1, k=1)"},
 	}
 	for _, tc := range tests {
@@ -74,15 +77,15 @@ func TestDemandCheckValuesMemoised(t *testing.T) {
 		t.Fatalf("CheckValues() = %v, want nil", err)
 	}
 	// After a passing scan the tensor is marked checked; a smuggled NaN is
-	// no longer caught. This documents the memoisation contract: Slot rows
-	// must be treated as read-only after validation.
-	in.Demand.Slot(0, 0)[0] = math.NaN()
+	// no longer caught. This documents the memoisation contract: the
+	// storage must be treated as read-only after validation.
+	in.Demand.(*Demand).data[0][0][0] = math.NaN()
 	if err := in.Demand.CheckValues(); err != nil {
 		t.Fatalf("CheckValues() after pass = %v, want memoised nil", err)
 	}
 	// A fresh tensor with the same trick is caught.
 	d := NewDemand(1, []int{1}, 2)
-	d.Slot(0, 0)[1] = math.Inf(-1)
+	d.data[0][0][1] = math.Inf(-1)
 	if err := d.CheckValues(); err == nil {
 		t.Fatal("CheckValues() = nil for Inf rate, want error")
 	}
@@ -267,9 +270,9 @@ func FuzzInstanceValidate(f *testing.F) {
 	f.Add(-4.0, -4.0, -4.0, -4.0, -4.0, -4)
 	f.Fuzz(func(t *testing.T, bw, beta, omega, rate, ovB float64, ovC int) {
 		d := NewDemand(2, []int{1}, 2)
-		// Route the rate through the aliasing Slot row so invalid values
+		// Write the rate into the storage directly so invalid values
 		// reach Validate instead of panicking in Set.
-		d.Slot(0, 0)[0] = rate
+		d.data[0][0][0] = rate
 		in := &Instance{
 			N: 1, K: 2, T: 2,
 			Classes:   []int{1},

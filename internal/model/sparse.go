@@ -131,15 +131,6 @@ func (d *SparseDemand) Set(t, n, m, k int, v float64) {
 	r.rates[m][i] = v
 }
 
-// Slot materialises the dense row-major (class, content) rate matrix for
-// (t, n) into fresh memory.
-//
-// Deprecated: on a sparse backing every call allocates and fills O(M·K)
-// memory. Use ForEachActive, At or CopySlot.
-func (d *SparseDemand) Slot(t, n int) []float64 {
-	return d.CopySlot(nil, t, n)
-}
-
 // CopySlot writes the dense row-major (class, content) rate matrix of
 // (t, n) into dst, growing it when needed, and returns it.
 func (d *SparseDemand) CopySlot(dst []float64, t, n int) []float64 {

@@ -15,8 +15,8 @@ package model
 //   - ActiveItems lists the contents with any positive demand at (t, n),
 //     the raw material for candidate sets (Instance.Candidates).
 //
-// The deprecated Slot remains as a dense-row shim; new code should use
-// ForEachActive, At or CopySlot instead. Implementations live in this
+// Point reads go through At, and CopySlot serves the rare caller that
+// needs a dense row in its own memory. Implementations live in this
 // package only (the interface is sealed by the unexported conforms method)
 // so the solver layers can rely on the invariants documented here.
 type DemandView interface {
@@ -36,18 +36,9 @@ type DemandView interface {
 	// condition a caller could handle).
 	Set(t, n, m, k int, v float64)
 
-	// Slot returns the dense row-major (class, content) rate matrix for
-	// (t, n).
-	//
-	// Deprecated: Slot hard-codes O(K) work and, on sparse backings, O(K)
-	// fresh memory per call. Use ForEachActive for accumulations, At for
-	// point reads, or CopySlot when a dense row into caller-owned memory
-	// is genuinely required.
-	Slot(t, n int) []float64
-
 	// CopySlot writes the dense row-major (class, content) rate matrix of
-	// (t, n) into dst, growing it when needed, and returns it. Unlike the
-	// deprecated Slot the result never aliases internal storage.
+	// (t, n) into dst, growing it when needed, and returns it. The result
+	// never aliases internal storage.
 	CopySlot(dst []float64, t, n int) []float64
 
 	// SlotTotal returns Σ_{m,k} λ^t_{m,k}: the aggregate request volume of

@@ -580,31 +580,14 @@ func roundPlacement(in *model.Instance, t int, avg model.CachePlan, rho float64)
 }
 
 // predictedLoad zeroes the averaged load split wherever the rounded
-// placement dropped the item (step (ii) of the rounding policy) and then
-// rescales per SBS so the realised demand fits the bandwidth. It reports
-// how many SBSs needed the bandwidth rescale.
+// placement dropped the item (step (ii) of the rounding policy), clamps it
+// to [0, 1] (provisionalLoad) and then rescales per SBS so the realised
+// demand fits the bandwidth. It reports how many SBSs needed the
+// bandwidth rescale.
 func predictedLoad(in *model.Instance, t int, x model.CachePlan, avgY model.LoadPlan) (model.LoadPlan, int) {
 	repaired := 0
-	y := avgY.Clone()
+	y := provisionalLoad(in, x, avgY)
 	for n := 0; n < in.N; n++ {
-		for m := 0; m < in.Classes[n]; m++ {
-			for k := 0; k < in.K; k++ {
-				if x[n][k] < 0.5 {
-					y[n][m][k] = 0
-					continue
-				}
-				// Averaged iterates can stray marginally outside [0, 1]
-				// (convex-solver tolerance), so clamp both bounds: a
-				// surviving negative would violate eq. (11) in the
-				// committed plan and corrupt the load sum driving the
-				// bandwidth rescale below.
-				if y[n][m][k] > 1 {
-					y[n][m][k] = 1
-				} else if y[n][m][k] < 0 {
-					y[n][m][k] = 0
-				}
-			}
-		}
 		// The load sum is demand-weighted, so it runs over the active
 		// coordinates of the clamped split (zero-rate terms add an exact
 		// +0.0 to the dense sum).

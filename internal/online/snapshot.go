@@ -91,7 +91,13 @@ type VersionSnapshot struct {
 	WsTo      int             `json:"wsTo"`
 	WsInitial model.CachePlan `json:"wsInitial,omitempty"`
 	Iterates  [][]float64     `json:"iterates,omitempty"`
-	CompactOK []bool          `json:"compactOK,omitempty"`
+	// CompactOK is never written. Snapshots from builds that kept a
+	// per-slot compact-path flag carry it here, and the field stays so
+	// that re-marshalling such a snapshot — which is how the durable
+	// store verifies a generation's checksum — reproduces the stored
+	// bytes. Restore ignores it: the workspace checks the invariant the
+	// flags stood for on the iterates themselves.
+	CompactOK []bool `json:"compactOK,omitempty"`
 
 	// Committed per-slot actions (absolute slots; null = not yet
 	// committed by this version) and solver-effort counters.
@@ -140,7 +146,7 @@ func (vs *versionState) snapshot() VersionSnapshot {
 	}
 	if vs.wsBound {
 		sn.WsInitial = clonePlan(vs.wsInitial)
-		sn.Iterates, sn.CompactOK = vs.ws.ExportP2Iterates()
+		sn.Iterates = vs.ws.ExportP2Iterates()
 	}
 	for t, x := range vs.xa {
 		if x != nil {
@@ -278,7 +284,7 @@ func (vs *versionState) restore(sn *VersionSnapshot) error {
 	if err != nil {
 		return fmt.Errorf("online: version %d restore window: %w", vs.v, err)
 	}
-	if err := vs.ws.RestoreP2(win, sn.Iterates, sn.CompactOK); err != nil {
+	if err := vs.ws.RestoreP2(win, sn.Iterates); err != nil {
 		return fmt.Errorf("online: version %d restore workspace: %w", vs.v, err)
 	}
 	vs.wsBound = true

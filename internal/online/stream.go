@@ -138,6 +138,11 @@ func provisionalLoad(in *model.Instance, x model.CachePlan, avgY model.LoadPlan)
 					y[n][m][k] = 0
 					continue
 				}
+				// Averaged iterates can stray marginally outside [0, 1]
+				// (convex-solver tolerance), so clamp both bounds: a
+				// surviving negative would violate eq. (11) in the
+				// committed plan and corrupt the load sum driving the
+				// bandwidth rescale of predictedLoad.
 				if y[n][m][k] > 1 {
 					y[n][m][k] = 1
 				} else if y[n][m][k] < 0 {

@@ -21,10 +21,10 @@ type feedClock struct{ ch chan time.Time }
 
 func newFeedClock() *feedClock { return &feedClock{ch: make(chan time.Time)} }
 
-func (c *feedClock) Now() time.Time                  { return time.Time{} }
-func (c *feedClock) Ticker(time.Duration) Ticker     { return c }
-func (c *feedClock) C() <-chan time.Time             { return c.ch }
-func (c *feedClock) Stop()                           {}
+func (c *feedClock) Now() time.Time              { return time.Time{} }
+func (c *feedClock) Ticker(time.Duration) Ticker { return c }
+func (c *feedClock) C() <-chan time.Time         { return c.ch }
+func (c *feedClock) Stop()                       {}
 func (c *feedClock) feed(t *testing.T, at time.Time) {
 	t.Helper()
 	select {

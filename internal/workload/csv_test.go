@@ -16,7 +16,7 @@ func TestDemandCSVRoundTrip(t *testing.T) {
 		Jitter:     0.2,
 		Seed:       6,
 	}
-	d, err := Generate(cfg)
+	d, err := NewDemand(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

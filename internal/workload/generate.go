@@ -112,12 +112,12 @@ func WithSeed(seed uint64) Option {
 }
 
 // NewDemand synthesises the ground-truth demand for the config, behind the
-// DemandView contract. Without options it reproduces the legacy Generate
-// bit for bit (dense backing, identical RNG consumption order). With
-// WithSparse the tensor is CSR-backed and only the active top-K ranks per
-// slot are visited and stored, so generation costs O(T·N·M·topK) instead
-// of O(T·N·M·K); the jitter stream then covers active coordinates only,
-// which defines a new (equally deterministic) workload for a given seed.
+// DemandView contract. Without options the backing is the dense
+// *model.Demand tensor. With WithSparse the tensor is CSR-backed and only
+// the active top-K ranks per slot are visited and stored, so generation
+// costs O(T·N·M·topK) instead of O(T·N·M·K); the jitter stream then
+// covers active coordinates only, which defines a new (equally
+// deterministic) workload for a given seed.
 func NewDemand(cfg Config, opts ...Option) (model.DemandView, error) {
 	var o genOptions
 	for _, opt := range opts {
@@ -209,20 +209,6 @@ func NewDemand(cfg Config, opts ...Option) (model.DemandView, error) {
 		}
 	}
 	return d, nil
-}
-
-// Generate synthesises the ground-truth demand tensor for the config.
-//
-// Deprecated: use NewDemand, which returns the DemandView contract and
-// accepts functional options (WithSparse, WithZipfSkew, WithSeed). This
-// wrapper is the dense, option-free path and is bit-identical to NewDemand
-// with no options.
-func Generate(cfg Config) (*model.Demand, error) {
-	v, err := NewDemand(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*model.Demand), nil
 }
 
 // InstanceConfig assembles a complete problem instance around a workload:

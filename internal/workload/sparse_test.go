@@ -49,23 +49,6 @@ func TestNewDemandSparseFullTopKBitExact(t *testing.T) {
 	}
 }
 
-// TestDeprecatedGenerateMatchesNewDemand keeps the shim honest: the old
-// entry point must stay a byte-for-byte alias of the new one.
-func TestDeprecatedGenerateMatchesNewDemand(t *testing.T) {
-	cfg := sparseCfg()
-	old, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := NewDemand(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(model.Densify(old), model.Densify(cur)) {
-		t.Fatal("Generate diverges from NewDemand")
-	}
-}
-
 func TestWithSparseTruncation(t *testing.T) {
 	cfg := sparseCfg()
 	const topK = 5

@@ -59,12 +59,12 @@ func TestStatsZeroDemand(t *testing.T) {
 
 func TestStatsSkewOrdering(t *testing.T) {
 	// A steeper Zipf must show higher head mass and Gini.
-	flat, err := Generate(Config{Classes: []int{5}, K: 20, T: 10,
+	flat, err := NewDemand(Config{Classes: []int{5}, K: 20, T: 10,
 		Zipf: ZipfMandelbrot{K: 20, Alpha: 0.3}, MaxDensity: 10, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	steep, err := Generate(Config{Classes: []int{5}, K: 20, T: 10,
+	steep, err := NewDemand(Config{Classes: []int{5}, K: 20, T: 10,
 		Zipf: ZipfMandelbrot{K: 20, Alpha: 2.5}, MaxDensity: 10, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -79,12 +79,12 @@ func TestStatsSkewOrdering(t *testing.T) {
 }
 
 func TestStatsJitterRaisesCV(t *testing.T) {
-	still, err := Generate(Config{Classes: []int{5}, K: 8, T: 20,
+	still, err := NewDemand(Config{Classes: []int{5}, K: 8, T: 20,
 		Zipf: ZipfMandelbrot{K: 8, Alpha: 1}, MaxDensity: 10, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := Generate(Config{Classes: []int{5}, K: 8, T: 20,
+	noisy, err := NewDemand(Config{Classes: []int{5}, K: 8, T: 20,
 		Zipf: ZipfMandelbrot{K: 8, Alpha: 1}, MaxDensity: 10, Jitter: 0.5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

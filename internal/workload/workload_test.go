@@ -57,11 +57,11 @@ func TestGenerateDeterministic(t *testing.T) {
 		Jitter:     0.3,
 		Seed:       7,
 	}
-	a, err := Generate(cfg)
+	a, err := NewDemand(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(cfg)
+	b, err := NewDemand(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 	}
 	cfg.Seed = 8
-	c, err := Generate(cfg)
+	c, err := NewDemand(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +104,15 @@ func TestGenerateValidation(t *testing.T) {
 	} {
 		cfg := base
 		mutate(&cfg)
-		if _, err := Generate(cfg); err == nil {
-			t.Errorf("%s: Generate accepted invalid config", name)
+		if _, err := NewDemand(cfg); err == nil {
+			t.Errorf("%s: NewDemand accepted invalid config", name)
 		}
 	}
 }
 
 func TestGenerateStationaryWithoutJitter(t *testing.T) {
 	cfg := Config{Classes: []int{2}, K: 4, T: 5, MaxDensity: 3, Seed: 3}
-	d, err := Generate(cfg)
+	d, err := NewDemand(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestGenerateStationaryWithoutJitter(t *testing.T) {
 
 func TestGenerateDrift(t *testing.T) {
 	cfg := Config{Classes: []int{1}, K: 3, T: 6, MaxDensity: 2, DriftPeriod: 2, Seed: 5}
-	d, err := Generate(cfg)
+	d, err := NewDemand(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestGenerateDiurnal(t *testing.T) {
 		DiurnalPeriod:    8,
 		Seed:             3,
 	}
-	d, err := Generate(cfg)
+	d, err := NewDemand(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,12 +306,12 @@ func TestGenerateDiurnal(t *testing.T) {
 	}
 	// Validation.
 	cfg.DiurnalPeriod = 0
-	if _, err := Generate(cfg); err == nil {
+	if _, err := NewDemand(cfg); err == nil {
 		t.Fatal("accepted amplitude without period")
 	}
 	cfg.DiurnalPeriod = 8
 	cfg.DiurnalAmplitude = 1
-	if _, err := Generate(cfg); err == nil {
+	if _, err := NewDemand(cfg); err == nil {
 		t.Fatal("accepted amplitude ≥ 1")
 	}
 }
