@@ -30,7 +30,7 @@ test-short:
 
 # Race-enabled run of the concurrency-sensitive packages (what CI runs).
 race:
-	$(GO) test -race ./internal/parallel ./internal/sim ./internal/core ./internal/online ./internal/fault ./internal/obs ./internal/serve ./internal/workload
+	$(GO) test -race ./internal/parallel ./internal/sim ./internal/core ./internal/online ./internal/fault ./internal/obs ./internal/serve ./internal/workload ./internal/loadbalance
 
 # Static analysis; CI installs the binary, locally this no-ops with a
 # notice when staticcheck is not on PATH.
@@ -92,7 +92,6 @@ cover:
 # trajectory auditor; seed corpora live in each package's testdata/fuzz).
 fuzz:
 	$(GO) test -fuzz FuzzBoxKnapsack -fuzztime 30s ./internal/projection
-	$(GO) test -fuzz FuzzSimplexProjection -fuzztime 30s ./internal/projection
 	$(GO) test -fuzz FuzzSolve -fuzztime 30s ./internal/lp
 	$(GO) test -fuzz FuzzDifferentialOffline -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzDifferentialOnline -fuzztime 30s ./internal/online

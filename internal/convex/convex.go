@@ -73,7 +73,9 @@ type Options struct {
 	Lipschitz float64
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every zero (or out-of-range) field replaced
+// by the default Minimize applies.
+func (o Options) WithDefaults() Options {
 	if o.Method == 0 {
 		o.Method = FISTA
 	}
@@ -143,7 +145,7 @@ func (ws *Workspace) Minimize(p Problem, x0, out []float64, opts Options) (Resul
 	if p.Func == nil || p.Grad == nil || p.Project == nil {
 		return res, errors.New("convex: Problem requires Func, Grad and Project")
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if opts.Method != FISTA && opts.Method != PGD {
 		return res, fmt.Errorf("convex: unknown method %d", int(opts.Method))
 	}

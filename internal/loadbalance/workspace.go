@@ -122,8 +122,11 @@ type slotState struct {
 	recovOK   bool
 	recovOpts convex.Options
 
-	prob convex.Problem
-	cw   convex.Workspace
+	// Solvers: the dual kernel (dualFISTA) and its scratch for FISTA dual
+	// solves, the generic convex path for recovery and other methods.
+	kx, ky, kt, kraw []float64
+	prob             convex.Problem
+	cw               convex.Workspace
 }
 
 // NewWorkspace returns an empty workspace; Bind prepares it for an
@@ -522,7 +525,8 @@ func (s *slotState) applyDefaults(opts convex.Options) convex.Options {
 
 // solveDual runs this slot's warm-started dual solve over the active
 // view, leaving the iterate in s.y for the next iteration, and returns the
-// objective value.
+// objective value. FISTA solves run on the dual kernel (kernel.go); other
+// methods on convex.Minimize with the slot's oracles.
 func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error) {
 	if mu != nil && len(mu) != s.dim {
 		return 0, fmt.Errorf("loadbalance: mu has %d entries, want %d", len(mu), s.dim)
@@ -535,7 +539,14 @@ func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error
 	s.hiActive = false
 	start := time.Now()
 	out := s.yOut[:len(y)]
-	res, err := s.cw.Minimize(s.prob, y, out, s.applyDefaults(opts))
+	full := s.applyDefaults(opts).WithDefaults()
+	var res convex.Result
+	var err error
+	if full.Method == convex.FISTA {
+		res, err = s.dualFISTA(y, out, full)
+	} else {
+		res, err = s.cw.Minimize(s.prob, y, out, full)
+	}
 	if err != nil {
 		s.fixed = false
 		return 0, err

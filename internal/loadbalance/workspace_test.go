@@ -2,6 +2,7 @@ package loadbalance
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -118,6 +119,124 @@ func TestWorkspaceDualMatchesReference(t *testing.T) {
 	}
 }
 
+// genericDual runs slot s's dual solve through convex.Workspace.Minimize
+// over the slot's view — the path the dual kernel replaces — from the
+// slot's current iterate, leaving the iterate untouched.
+func genericDual(t *testing.T, s *slotState, mu []float64, opts convex.Options) ([]float64, float64, int) {
+	t.Helper()
+	x0 := append([]float64(nil), s.gather(s.yC, s.y)...)
+	s.mu = nil
+	if mu != nil {
+		s.mu = s.gather(s.muC, mu)
+	}
+	var cw convex.Workspace
+	res, err := cw.Minimize(s.prob, x0, make([]float64, len(x0)), s.applyDefaults(opts))
+	s.mu = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.X, res.Value, res.Iterations
+}
+
+// TestDualKernelMatchesReference drives the dual kernel through all four
+// of its loop variants (ŵ ≡ 0 or not × μ nil or not) on dense and sparse
+// planes, with a bandwidth loose enough that the θ = 0 clamp is the
+// projection and one tight enough that the bisection fallback runs. Each
+// warm-started iteration must match the generic convex path bit for bit
+// (iterate, objective and gradient-step count) and the reference
+// SlotProblem.Solve sweep value for value.
+func TestDualKernelMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		sbsCost, bandwidth float64
+		sparse             bool
+	}{
+		{0, 30, false}, {0.3, 30, false}, {0, 30, true}, {0.3, 30, true},
+		{0, 1, false}, {0.3, 1, false}, {0, 1, true}, {0.3, 1, true},
+	} {
+		cfg := workload.PaperDefault()
+		cfg.N = 2
+		cfg.T = 3
+		cfg.K = 10
+		cfg.ClassesPerSBS = 3
+		cfg.OmegaSBSRatio = c.sbsCost
+		cfg.Bandwidth = c.bandwidth
+		var wopts []workload.Option
+		if c.sparse {
+			wopts = append(wopts, workload.WithSparse(3))
+		}
+		in, err := workload.BuildInstanceWith(cfg, wopts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := NewWorkspace()
+		ws.Bind(in)
+		if ws.slots[0].dense == c.sparse {
+			t.Fatalf("%+v: plane density does not match the case", c)
+		}
+
+		rng := rand.New(rand.NewPCG(17, uint64(c.bandwidth)))
+		opts := convex.Options{StepTol: 1e-7, MaxIter: 600}
+		var warm []model.LoadPlan
+		binding := 0
+		for iter := 0; iter < 6; iter++ {
+			var mu [][][]float64 // nil on even iterations: the nil-μ variants
+			if iter%2 == 1 {
+				mu = randomMu(rng, in, 0.5)
+			}
+			type generic struct {
+				y     []float64
+				value float64
+			}
+			want := make([]generic, len(ws.slots))
+			steps := 0
+			for i, s := range ws.slots {
+				var row []float64
+				if mu != nil {
+					row = mu[s.t][s.n]
+				}
+				y, value, n := genericDual(t, s, row, opts)
+				want[i] = generic{y, value}
+				steps += n
+			}
+			wantPlans, wantTotal := referenceSolveAll(t, in, mu, warm, opts)
+			warm = wantPlans
+
+			stepsBefore := mGradSteps.Value()
+			gotTotal, err := ws.SolveDual(context.Background(), mu, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := int(mGradSteps.Value() - stepsBefore); got != steps {
+				t.Fatalf("%+v iter %d: kernel took %d gradient steps, generic path %d", c, iter, got, steps)
+			}
+			for i, s := range ws.slots {
+				got := s.gather(s.yC, s.y)
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(want[i].y[j]) {
+						t.Fatalf("%+v iter %d slot %d: kernel y[%d] = %v, generic %v", c, iter, i, j, got[j], want[i].y[j])
+					}
+				}
+				if math.Float64bits(ws.objs[i]) != math.Float64bits(want[i].value) {
+					t.Fatalf("%+v iter %d slot %d: kernel objective %v, generic %v", c, iter, i, ws.objs[i], want[i].value)
+				}
+				var load float64
+				for j, v := range got {
+					load += s.vlam[j] * v
+				}
+				if load > s.bw-1e-6 {
+					binding++
+				}
+			}
+			if gotTotal != wantTotal || !reflect.DeepEqual(ws.ExportPlans(), wantPlans) {
+				t.Fatalf("%+v iter %d: workspace diverges from the reference sweep", c, iter)
+			}
+		}
+		if tight := c.bandwidth == 1; tight != (binding > 0) {
+			t.Fatalf("%+v: %d binding slot solves, want them exactly on the tight bandwidth", c, binding)
+		}
+	}
+}
+
 // TestWorkspaceRecoverMatchesReference checks the workspace recovery —
 // greedy and FISTA paths, on dense planes and on sparse ones (where the
 // FISTA path runs over the compact active view) — against
@@ -226,6 +345,18 @@ func TestSteadyStateDualSolveZeroAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("steady-state slot dual solve allocates %.0f objects/op, want 0", allocs)
+	}
+	// A moving μ (the service regime: every solve is a full FISTA run,
+	// not a restart at a fixed point) and nil μ stay allocation-free too.
+	rows := [][]float64{randomMu(rng, in, 2.0)[0][0], nil, muRow}
+	i := 0
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.solveDual(rows[i%len(rows)], opts); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Fatalf("moving-μ slot dual solve allocates %.0f objects/op, want 0", allocs)
 	}
 
 	// The full (t, n) sweep is also allocation-free when it runs on the

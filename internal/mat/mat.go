@@ -62,17 +62,6 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// NormInf returns the maximum absolute entry of x (0 for an empty slice).
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Dist2 returns the Euclidean distance between a and b.
 func Dist2(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -96,15 +85,6 @@ func Clamp(v, lo, hi float64) float64 {
 	default:
 		return v
 	}
-}
-
-// Sum returns Σ_i x_i.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
 }
 
 // Dense is a row-major dense matrix.

@@ -57,12 +57,6 @@ func TestNorm2(t *testing.T) {
 	}
 }
 
-func TestNormInf(t *testing.T) {
-	if got := NormInf([]float64{-7, 3}); got != 7 {
-		t.Fatalf("NormInf = %g, want 7", got)
-	}
-}
-
 func TestDist2(t *testing.T) {
 	if got := Dist2([]float64{1, 1}, []float64{4, 5}); !almost(got, 5, 1e-12) {
 		t.Fatalf("Dist2 = %g, want 5", got)
@@ -79,12 +73,6 @@ func TestClamp(t *testing.T) {
 		if got := Clamp(tc.v, tc.lo, tc.hi); got != tc.want {
 			t.Errorf("Clamp(%g, %g, %g) = %g, want %g", tc.v, tc.lo, tc.hi, got, tc.want)
 		}
-	}
-}
-
-func TestSum(t *testing.T) {
-	if got := Sum([]float64{1, 2, 3.5}); got != 6.5 {
-		t.Fatalf("Sum = %g, want 6.5", got)
 	}
 }
 

@@ -69,31 +69,3 @@ func FuzzBoxKnapsack(f *testing.F) {
 		}
 	})
 }
-
-// FuzzSimplexProjection checks the simplex projection invariants.
-func FuzzSimplexProjection(f *testing.F) {
-	f.Add(uint64(3), 1.0)
-	f.Add(uint64(9), 2.5)
-	f.Fuzz(func(t *testing.T, seed uint64, radius float64) {
-		if math.IsNaN(radius) || math.IsInf(radius, 0) || radius <= 0 || radius > 1e6 {
-			t.Skip()
-		}
-		rng := rand.New(rand.NewPCG(seed, 1))
-		n := 1 + rng.IntN(12)
-		z := make([]float64, n)
-		for i := range z {
-			z[i] = rng.NormFloat64() * 5
-		}
-		y := Simplex(make([]float64, n), z, radius)
-		var sum float64
-		for _, v := range y {
-			if v < -1e-12 || math.IsNaN(v) {
-				t.Fatalf("invalid coordinate %g", v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-radius) > 1e-6*(1+radius) {
-			t.Fatalf("sum %g != radius %g", sum, radius)
-		}
-	})
-}

@@ -204,48 +204,3 @@ func UnitBoxKnapsack(dst, z, c []float64, b float64) ([]float64, error) {
 	}
 	return dst, nil
 }
-
-// Simplex writes into dst the projection of z onto the scaled simplex
-// { y ≥ 0, Σ y = r } (r > 0) and returns dst. dst may alias z. It uses the
-// classic sorted-threshold characterisation y_i = max(z_i − τ, 0).
-func Simplex(dst, z []float64, r float64) []float64 {
-	if len(dst) != len(z) {
-		panic(fmt.Sprintf("projection: Simplex length mismatch %d/%d", len(dst), len(z)))
-	}
-	if r <= 0 {
-		panic(fmt.Sprintf("projection: Simplex radius %g ≤ 0", r))
-	}
-	// Bisection on τ keeps the implementation allocation-light and mirrors
-	// BoxKnapsack; Σ max(z−τ, 0) is strictly decreasing until it hits 0.
-	sum := func(tau float64) float64 {
-		var s float64
-		for _, v := range z {
-			if v > tau {
-				s += v - tau
-			}
-		}
-		return s
-	}
-	hiT := mat.NormInf(z) // Σ at this τ is 0 ≤ r
-	loT := hiT - 1
-	for sum(loT) < r {
-		loT -= math.Max(1, math.Abs(loT))
-	}
-	for iter := 0; iter < bisectIters && hiT-loT > 1e-14*(1+math.Abs(hiT)); iter++ {
-		mid := 0.5 * (loT + hiT)
-		if sum(mid) > r {
-			loT = mid
-		} else {
-			hiT = mid
-		}
-	}
-	tau := 0.5 * (loT + hiT)
-	for i, v := range z {
-		dst[i] = math.Max(v-tau, 0)
-	}
-	// Rescale the tiny residual mismatch onto the support for an exact sum.
-	if s := mat.Sum(dst); s > 0 {
-		mat.Scale(r/s, dst)
-	}
-	return dst
-}

@@ -181,66 +181,3 @@ func TestBoxKnapsackProjectionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSimplex(t *testing.T) {
-	got := Simplex(make([]float64, 3), []float64{1, 0.5, -1}, 1)
-	if math.Abs(mat.Sum(got)-1) > 1e-9 {
-		t.Fatalf("sum = %g, want 1", mat.Sum(got))
-	}
-	// Known answer: project (1, 0.5, −1) onto the unit simplex →
-	// support {1, 2}, τ = 0.25 → (0.75, 0.25, 0).
-	want := []float64{0.75, 0.25, 0}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("Simplex = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSimplexProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 17))
-		n := 1 + r.IntN(10)
-		z := make([]float64, n)
-		for i := range z {
-			z[i] = r.NormFloat64() * 3
-		}
-		radius := 0.5 + r.Float64()*2
-		y := Simplex(make([]float64, n), z, radius)
-		if math.Abs(mat.Sum(y)-radius) > 1e-8 {
-			return false
-		}
-		for _, v := range y {
-			if v < -1e-12 {
-				return false
-			}
-		}
-		// Competitors: random simplex points must not be closer.
-		dStar := mat.Dist2(y, z)
-		for trial := 0; trial < 20; trial++ {
-			p := make([]float64, n)
-			var s float64
-			for i := range p {
-				p[i] = r.Float64()
-				s += p[i]
-			}
-			mat.Scale(radius/s, p)
-			if mat.Dist2(p, z) < dStar-1e-7 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSimplexPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on non-positive radius")
-		}
-	}()
-	Simplex(make([]float64, 1), []float64{1}, 0)
-}
