@@ -87,14 +87,16 @@ trace-demo:
 cover:
 	$(GO) test -short -cover ./...
 
-# Short fuzzing bursts over the numerical substrates and the
-# differential solver cross-checks (solvers vs the exact oracle and the
-# trajectory auditor; seed corpora live in each package's testdata/fuzz).
+# Short fuzzing bursts over the numerical substrates, the differential
+# solver cross-checks (solvers vs the exact oracle and the trajectory
+# auditor) and the durable store's snapshot and WAL decoders (seed
+# corpora live in each package's testdata/fuzz or in its f.Add calls).
 fuzz:
 	$(GO) test -fuzz FuzzBoxKnapsack -fuzztime 30s ./internal/projection
 	$(GO) test -fuzz FuzzSolve -fuzztime 30s ./internal/lp
 	$(GO) test -fuzz FuzzDifferentialOffline -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzDifferentialOnline -fuzztime 30s ./internal/online
+	$(GO) test -fuzz FuzzSnapshotAndWALDecode -fuzztime 30s ./internal/serve
 
 # Differentially audit real runs end to end: every committed trajectory
 # is re-derived (feasibility, integrality, independent cost recomputation)

@@ -21,9 +21,11 @@ import (
 //     multipliers of the last window that produced any, the P2 dual load
 //     iterates of the last window the workspace actually bound (the
 //     cross-window warm starts of Options.Advance), the committed
-//     actions, the solve lattice position τ, and the solver-effort
-//     counters. The fault schedule's consumed attempt budgets ride along
-//     so a restored run does not re-inject already-fired solver faults.
+//     actions of the open and future slots (a closed slot's actions are
+//     dropped once its decision is in Trajectory), the solve lattice
+//     position τ, and the solver-effort counters. The fault schedule's
+//     consumed attempt budgets ride along so a restored run does not
+//     re-inject already-fired solver faults.
 //
 //   - Results-neutral solver state is recomputed instead of carried: the
 //     P1 flow networks, the recovery memoisation and the fixed-point
@@ -91,16 +93,9 @@ type VersionSnapshot struct {
 	WsTo      int             `json:"wsTo"`
 	WsInitial model.CachePlan `json:"wsInitial,omitempty"`
 	Iterates  [][]float64     `json:"iterates,omitempty"`
-	// CompactOK is never written. Snapshots from builds that kept a
-	// per-slot compact-path flag carry it here, and the field stays so
-	// that re-marshalling such a snapshot — which is how the durable
-	// store verifies a generation's checksum — reproduces the stored
-	// bytes. Restore ignores it: the workspace checks the invariant the
-	// flags stood for on the iterates themselves.
-	CompactOK []bool `json:"compactOK,omitempty"`
-
-	// Committed per-slot actions (absolute slots; null = not yet
-	// committed by this version) and solver-effort counters.
+	// Committed per-slot actions (absolute slots) and solver-effort
+	// counters. Only the open and future slots carry an action; null =
+	// not yet committed by this version, or already closed.
 	XA    []model.CachePlan `json:"xa"`
 	YA    []model.LoadPlan  `json:"ya"`
 	Stats VersionStats      `json:"stats"`
@@ -213,7 +208,7 @@ func RestoreStream(ctx context.Context, in *model.Instance, pred workload.Foreca
 		s.xa[v] = make([]model.CachePlan, in.T)
 		s.ya[v] = make([]model.LoadPlan, in.T)
 		vs := newVersionState(in, pred, cfg, v, s.armed, events, s.xa[v], s.ya[v])
-		if err := vs.restore(&snap.Versions[v]); err != nil {
+		if err := vs.restore(&snap.Versions[v], snap.Slot); err != nil {
 			return nil, err
 		}
 		s.versions[v] = vs
@@ -244,12 +239,16 @@ func RestoreStream(ctx context.Context, in *model.Instance, pred workload.Foreca
 }
 
 // restore loads one version's snapshot, rebuilding the solver workspace
-// of its last bound window: the window instance is reconstructed from the
-// snapshotted (tau, from, to, initial plan) through the deterministic
-// forecaster, freshly bound, and the carried dual iterates loaded into
-// it — after which the next BindAdvance rotates it exactly as the
-// uninterrupted run's would have.
-func (vs *versionState) restore(sn *VersionSnapshot) error {
+// of its last bound window: the window instance is reconstructed from
+// the snapshotted (tau, from, to, initial plan) through the
+// deterministic forecaster, freshly bound, and the carried dual
+// iterates loaded into it — after which the next BindAdvance rotates it
+// exactly as the uninterrupted run's would have.
+//
+// Actions for the closed slots [0, open) are skipped. Generations
+// written before CloseSlot dropped them still carry them, and a
+// restored stream must hold what the unkilled one holds.
+func (vs *versionState) restore(sn *VersionSnapshot, open int) error {
 	if sn.Version != vs.v {
 		return fmt.Errorf("online: version snapshot %d restored as %d", sn.Version, vs.v)
 	}
@@ -263,13 +262,11 @@ func (vs *versionState) restore(sn *VersionSnapshot) error {
 	if len(sn.XA) != len(vs.xa) || len(sn.YA) != len(vs.ya) {
 		return fmt.Errorf("online: version %d snapshot covers %d slots, horizon is %d", vs.v, len(sn.XA), len(vs.xa))
 	}
-	for t, x := range sn.XA {
-		if x != nil {
+	for t := open; t < len(sn.XA); t++ {
+		if x := sn.XA[t]; x != nil {
 			vs.xa[t] = x.Clone()
 		}
-	}
-	for t, y := range sn.YA {
-		if y != nil {
+		if y := sn.YA[t]; y != nil {
 			vs.ya[t] = y.Clone()
 		}
 	}

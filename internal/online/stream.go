@@ -202,6 +202,11 @@ func (s *Stream) CloseSlot(ctx context.Context) (model.SlotDecision, error) {
 		return model.SlotDecision{}, err
 	}
 	s.traj = append(s.traj, dec)
+	// The versions' actions for slot t were read only by the combiner
+	// while t was open; drop them so snapshots carry live state only.
+	for v := range s.xa {
+		s.xa[v][t], s.ya[v][t] = nil, nil
+	}
 	s.cur++
 	if s.Done() {
 		s.planX, s.planY = nil, nil

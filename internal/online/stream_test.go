@@ -233,6 +233,82 @@ func TestRestoreStreamRejectsMismatches(t *testing.T) {
 	}
 }
 
+// TestCloseSlotDropsClosedActions pins what a snapshot carries: after
+// every CloseSlot no version holds an action below the open slot, and
+// every version holds one for the open slot.
+func TestCloseSlotDropsClosedActions(t *testing.T) {
+	ctx := context.Background()
+	in, pred := smallInstance(t, nil)
+	s, err := NewStream(ctx, in, pred, CHC(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !s.Done() {
+		if _, err := s.CloseSlot(ctx); err != nil {
+			t.Fatal(err)
+		}
+		snap := s.Snapshot()
+		for _, vs := range snap.Versions {
+			for t0 := 0; t0 < snap.Slot; t0++ {
+				if vs.XA[t0] != nil || vs.YA[t0] != nil {
+					t.Fatalf("open slot %d: version %d still carries the action of closed slot %d", snap.Slot, vs.Version, t0)
+				}
+			}
+			if snap.Slot < in.T && (vs.XA[snap.Slot] == nil || vs.YA[snap.Slot] == nil) {
+				t.Fatalf("open slot %d: version %d carries no action for it", snap.Slot, vs.Version)
+			}
+		}
+	}
+}
+
+// TestRestoreDropsClosedActions restores from a snapshot that still
+// carries the actions of closed slots, as generations written before
+// CloseSlot dropped them do: the restored stream must snapshot equal to
+// the unkilled one and finish identical to it.
+func TestRestoreDropsClosedActions(t *testing.T) {
+	ctx := context.Background()
+	in, pred := smallInstance(t, nil)
+	cfg := CHC(4, 2)
+	const snapAt = 5
+
+	unkilled, err := NewStream(ctx, in, pred, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each slot's actions as published while it was open.
+	openXA := make([][]model.CachePlan, in.T)
+	openYA := make([][]model.LoadPlan, in.T)
+	for unkilled.Slot() < snapAt {
+		t0 := unkilled.Slot()
+		for _, vs := range unkilled.Snapshot().Versions {
+			openXA[t0] = append(openXA[t0], vs.XA[t0])
+			openYA[t0] = append(openYA[t0], vs.YA[t0])
+		}
+		if _, err := unkilled.CloseSlot(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := unkilled.Snapshot()
+
+	old := unkilled.Snapshot()
+	for v := range old.Versions {
+		for t0 := 0; t0 < snapAt; t0++ {
+			old.Versions[v].XA[t0] = openXA[t0][v]
+			old.Versions[v].YA[t0] = openYA[t0][v]
+		}
+	}
+	restored, err := RestoreStream(ctx, in, pred, cfg, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Snapshot(); !reflect.DeepEqual(want, got) {
+		t.Fatal("stream restored from a snapshot with closed-slot actions snapshots differently from the unkilled stream")
+	}
+	if !reflect.DeepEqual(drain(t, unkilled), drain(t, restored)) {
+		t.Fatal("restored result diverges from the unkilled run")
+	}
+}
+
 // TestStreamWithOnlineEstimator runs the oracle-free live-deployment
 // mode end to end: rows are revealed slot by slot into a progressively
 // filled tensor, the estimator forecasts from the realised prefix only,

@@ -543,9 +543,10 @@ func TestFaultedScheduleDurableRestart(t *testing.T) {
 // TestOpenReadsGenerationWithCompactFlags pins backward compatibility of
 // the durable store: testdata/compactok-state is a state dir written by a
 // build whose snapshots carried per-slot "compactOK" flags (CHC(4,2),
-// trace seed 19, closed through slot 5). Generations verify their
-// checksum by re-marshalling the decoded envelope, so the field must
-// still round-trip; the restored controller must resume at slot 5 and
+// trace seed 19, closed through slot 5) and that still carries every
+// closed slot's per-version actions. No struct field matches the flags
+// any more; the checksum covers the raw bytes, so the generation still
+// verifies, and the restored controller must resume at slot 5 and
 // finish identical to an uninterrupted run.
 func TestOpenReadsGenerationWithCompactFlags(t *testing.T) {
 	ctx := context.Background()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -12,8 +13,10 @@ import (
 // decoders. The contract under fuzz is narrow and absolute: corrupt
 // input yields an error (snapshot) or a truncated record list (WAL) —
 // never a panic, never an unbounded allocation. The seed corpus covers
-// the two shapes a crash actually leaves behind: a truncated valid
-// snapshot and a valid WAL prefix with a garbage tail.
+// the two shapes a crash actually leaves behind, a truncated valid
+// snapshot and a valid WAL prefix with a garbage tail, plus the two
+// edits the raw-bytes checksum must catch around the offset it cuts at:
+// a key bit flip and a removed checksum member.
 func FuzzSnapshotAndWALDecode(f *testing.F) {
 	// Seed 1: prefixes of a real snapshot envelope.
 	cfg := workload.PaperDefault()
@@ -49,6 +52,13 @@ func FuzzSnapshotAndWALDecode(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:1])
+	f.Add(bytes.Replace(valid, []byte(`"slot"`), []byte(`"Slot"`), 1))
+	member := bytes.Index(valid, []byte(`,"checksum":`))
+	rows := bytes.Index(valid, rowsKey)
+	if member < 0 || rows < member {
+		f.Fatal("seed snapshot carries no checksum member in front of rows")
+	}
+	f.Add(append(valid[:member:member], valid[rows:]...))
 
 	// Seed 2: two good WAL frames followed by a garbage tail.
 	frame1, err := encodeWALFrame(walRecord{Seq: 1, Kind: walKindReports, Slot: 0, Reqs: []Request{{SBS: 0, Class: 1, Content: 2, Count: 3}}})

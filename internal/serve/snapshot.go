@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"os"
+	"strconv"
 
 	"edgecache/internal/online"
 )
@@ -41,8 +43,9 @@ type Envelope struct {
 	// and at genesis.
 	WalSeq uint64 `json:"walSeq,omitempty"`
 	// Checksum is CRC32C over the envelope's canonical JSON with this
-	// field zeroed; a bit flip anywhere in the file fails verification and
-	// recovery falls back to the previous generation.
+	// field zeroed, which is the file's bytes with this member cut out; a
+	// bit flip anywhere in the file fails verification and recovery falls
+	// back to the previous generation.
 	Checksum uint32 `json:"checksum,omitempty"`
 	// Rows[t][n] is the realised flat (class, content) rate row of slot
 	// t at SBS n.
@@ -50,8 +53,26 @@ type Envelope struct {
 	Controller *online.StreamSnapshot `json:"controller"`
 }
 
-// encodeSnapshot marshals env with its Checksum computed over the
-// canonical (checksum-zeroed) encoding. The input is not mutated.
+// rowsKey opens the Rows member. Its first occurrence in an encoded
+// envelope is always the top-level member: everything before it is an
+// integer or the Algorithm string, and a JSON string cannot hold an
+// unescaped '"'. The Checksum member, when present, sits directly in
+// front of it (struct field order).
+var rowsKey = []byte(`,"rows":`)
+
+// checksumMember renders the Checksum member exactly as encoding/json
+// writes it; zero renders as nothing, because the field is omitempty.
+func checksumMember(sum uint32) []byte {
+	if sum == 0 {
+		return nil
+	}
+	return strconv.AppendUint([]byte(`,"checksum":`), uint64(sum), 10)
+}
+
+// encodeSnapshot marshals env once with its Checksum zeroed (the
+// canonical encoding), computes CRC32C over those bytes and splices the
+// Checksum member in front of Rows. The result is byte-identical to
+// marshalling env with the checksum set. The input is not mutated.
 func encodeSnapshot(env *Envelope) ([]byte, error) {
 	e := *env
 	e.Checksum = 0
@@ -59,20 +80,26 @@ func encodeSnapshot(env *Envelope) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: marshal snapshot: %w", err)
 	}
-	e.Checksum = crc32.Checksum(canonical, castagnoli)
-	data, err := json.Marshal(&e)
-	if err != nil {
-		return nil, fmt.Errorf("serve: marshal snapshot: %w", err)
+	member := checksumMember(crc32.Checksum(canonical, castagnoli))
+	if member == nil {
+		return canonical, nil
 	}
-	return data, nil
+	at := bytes.Index(canonical, rowsKey)
+	data := make([]byte, 0, len(canonical)+len(member))
+	data = append(data, canonical[:at]...)
+	data = append(data, member...)
+	return append(data, canonical[at:]...), nil
 }
 
 // decodeSnapshot parses and verifies an envelope: format version gate,
-// checksum (format ≥ 2 — verified by re-marshalling the decoded
-// envelope with a zeroed checksum, which reproduces the writer's
-// canonical bytes because encoding/json is deterministic), and the
-// presence of the controller block. Arbitrary or damaged bytes return
-// an error; they never panic.
+// checksum (format ≥ 2) and the presence of the controller block.
+// Arbitrary or damaged bytes return an error; they never panic.
+//
+// The checksum is CRC32C over the file's raw bytes with exactly the
+// Checksum member cut out, which is the writer's canonical encoding.
+// Verifying the bytes themselves, not a re-marshal of the decoded
+// value, also rejects what decoding would normalise away: a bit flip
+// that changes a key's case, inserted whitespace, an unknown member.
 func decodeSnapshot(data []byte) (*Envelope, error) {
 	var env Envelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -82,15 +109,8 @@ func decodeSnapshot(data []byte) (*Envelope, error) {
 	case 1:
 		// Pre-durability envelope: no checksum to verify.
 	case SnapshotFormatVersion:
-		sum := env.Checksum
-		e := env
-		e.Checksum = 0
-		canonical, err := json.Marshal(&e)
-		if err != nil {
-			return nil, fmt.Errorf("serve: re-marshal snapshot: %w", err)
-		}
-		if got := crc32.Checksum(canonical, castagnoli); got != sum {
-			return nil, fmt.Errorf("serve: snapshot checksum mismatch: stored %08x, computed %08x", sum, got)
+		if err := verifyChecksum(data, env.Checksum); err != nil {
+			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("serve: snapshot has format version %d, this build reads %d",
@@ -100,6 +120,23 @@ func decodeSnapshot(data []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("serve: snapshot carries no controller state")
 	}
 	return &env, nil
+}
+
+// verifyChecksum checks that data carries the Checksum member for sum
+// directly in front of its first Rows member and that CRC32C over the
+// bytes around that member equals sum.
+func verifyChecksum(data []byte, sum uint32) error {
+	member := checksumMember(sum)
+	at := bytes.Index(data, rowsKey)
+	if at < len(member) || !bytes.Equal(data[at-len(member):at], member) {
+		return fmt.Errorf("serve: snapshot checksum member %08x not in front of rows", sum)
+	}
+	got := crc32.Update(0, castagnoli, data[:at-len(member)])
+	got = crc32.Update(got, castagnoli, data[at:])
+	if got != sum {
+		return fmt.Errorf("serve: snapshot checksum mismatch: stored %08x, computed %08x", sum, got)
+	}
+	return nil
 }
 
 // SaveSnapshot writes the envelope to path atomically and durably:
