@@ -90,11 +90,11 @@ type Options struct {
 	// Advance hints that the instance is the previous Solve's window shifted
 	// forward this many slots (receding horizon, same Workspace). Overlapping
 	// slots then keep their P2 coefficient precompute and carry their dual
-	// load iterates as warm starts — the x/y analogue of InitialMu, ablated
-	// upstream by online.Config.DisableIterateWarmStart. The hint is verified
-	// per slot against the actual plane inputs, so a wrong value degrades to
-	// a full rebind, never to corruption. 0 (the default) rebinds from
-	// scratch, resetting all cross-window P2 state.
+	// load iterates as warm starts — the x/y analogue of InitialMu, set by
+	// the online controllers between a version's consecutive windows. The
+	// hint is verified per slot against the actual plane inputs, so a wrong
+	// value degrades to a full rebind, never to corruption. 0 (the default)
+	// rebinds from scratch, resetting all cross-window P2 state.
 	Advance int
 	// DisableIncremental turns off the delta-aware re-solve machinery inside
 	// the dual loop — per-(t, n) μ-row change tracking, the reward-row

@@ -218,8 +218,8 @@ func (ws *Workspace) bindShared(in *model.Instance) {
 // Lipschitz constant, the greedy order, the compact gather — instead of
 // re-deriving it. With carry set, the slot also keeps its dual iterate as
 // the warm start for the new window's first dual iteration (an
-// accuracy-level choice, ablated by online.Config.DisableIterateWarmStart);
-// otherwise iterates reset to zero exactly like Bind. Slots that enter the
+// accuracy-level choice; core.Workspace always carries); otherwise
+// iterates reset to zero exactly like Bind. Slots that enter the
 // window, change shape, or fail the bitwise comparison take the full bind
 // path, so a wrong advance degrades to correctness, never to corruption.
 func (ws *Workspace) BindAdvance(in *model.Instance, advance int, carry bool) {

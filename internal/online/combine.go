@@ -9,8 +9,7 @@ import (
 
 // combiner merges the per-slot actions of the staggered FHC versions into
 // the committed trajectory — the average/round/repair/commit stage of
-// Algorithm 3, factored out of the batch loop so the streaming controller
-// can run the identical arithmetic one slot at a time. The averaging
+// Algorithm 3, run one slot at a time by Stream. The averaging
 // buffers are allocated once and rotated: avgX swaps with prevAvgX at the
 // end of each commit (the replacement-cost term needs last slot's
 // average), avgY is consumed within the slot.
@@ -22,9 +21,8 @@ import (
 // the slot opens; commit consumes the buffers against the realised demand
 // row when the slot closes.
 type combiner struct {
-	in       *model.Instance
-	cfg      Config // already defaulted
-	versions int
+	in  *model.Instance
+	cfg Config // already defaulted
 
 	avgX     model.CachePlan
 	avgY     model.LoadPlan
@@ -36,11 +34,10 @@ type combiner struct {
 	bwRepairs int // slot-SBS pairs where the bandwidth rescale fired
 }
 
-func newCombiner(in *model.Instance, cfg Config, versions int) *combiner {
+func newCombiner(in *model.Instance, cfg Config) *combiner {
 	return &combiner{
 		in:       in,
 		cfg:      cfg,
-		versions: versions,
 		avgX:     model.NewCachePlan(in.N, in.K),
 		avgY:     model.NewLoadPlan(in.Classes, in.K),
 		prevAvgX: in.InitialPlan(),
@@ -49,9 +46,9 @@ func newCombiner(in *model.Instance, cfg Config, versions int) *combiner {
 }
 
 // average fills the slot-t averaging buffers from the versions' committed
-// actions, reported by the two accessors (version index → action). It
-// errors when a version committed no action for the slot.
-func (c *combiner) average(t int, xa func(v int) model.CachePlan, ya func(v int) model.LoadPlan) error {
+// actions xa[v][t] and ya[v][t]. It errors when a version committed no
+// action for the slot.
+func (c *combiner) average(t int, xa [][]model.CachePlan, ya [][]model.LoadPlan) error {
 	in := c.in
 	for n := 0; n < in.N; n++ {
 		row := c.avgX[n]
@@ -65,18 +62,19 @@ func (c *combiner) average(t int, xa func(v int) model.CachePlan, ya func(v int)
 			}
 		}
 	}
-	for v := 0; v < c.versions; v++ {
-		xv, yv := xa(v), ya(v)
+	versions := float64(len(xa))
+	for v := range xa {
+		xv, yv := xa[v][t], ya[v][t]
 		if xv == nil || yv == nil {
 			return fmt.Errorf("online: version %d committed no action for slot %d", v, t)
 		}
 		for n := 0; n < in.N; n++ {
 			for k := 0; k < in.K; k++ {
-				c.avgX[n][k] += xv[n][k] / float64(c.versions)
+				c.avgX[n][k] += xv[n][k] / versions
 			}
 			for m := 0; m < in.Classes[n]; m++ {
 				for k := 0; k < in.K; k++ {
-					c.avgY[n][m][k] += yv[n][m][k] / float64(c.versions)
+					c.avgY[n][m][k] += yv[n][m][k] / versions
 				}
 			}
 		}

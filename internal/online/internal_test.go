@@ -44,10 +44,11 @@ func TestRunVersionStartupCoversEarlySlots(t *testing.T) {
 	// slot 0 (Ψ_v reaches into negative time, per Algorithm 3).
 	xa := make([]model.CachePlan, in.T)
 	ya := make([]model.LoadPlan, in.T)
-	var stats VersionStats
-	if err := runVersion(context.Background(), in, pred, cfg, 1, nil, nil, xa, ya, &stats); err != nil {
+	vs := newVersionState(in, pred, cfg, 1, nil, nil, xa, ya)
+	if err := vs.runTo(context.Background(), in.T); err != nil {
 		t.Fatal(err)
 	}
+	stats := vs.stats
 	for tt := 0; tt < in.T; tt++ {
 		if xa[tt] == nil || ya[tt] == nil {
 			t.Fatalf("version 1 left slot %d uncommitted", tt)
@@ -68,10 +69,11 @@ func TestVersionsCommitDisjointBlocks(t *testing.T) {
 	// committed placements must be feasible and integral.
 	xa := make([]model.CachePlan, in.T)
 	ya := make([]model.LoadPlan, in.T)
-	var stats VersionStats
-	if err := runVersion(context.Background(), in, pred, cfg, 0, nil, nil, xa, ya, &stats); err != nil {
+	vs := newVersionState(in, pred, cfg, 0, nil, nil, xa, ya)
+	if err := vs.runTo(context.Background(), in.T); err != nil {
 		t.Fatal(err)
 	}
+	stats := vs.stats
 	for tt, x := range xa {
 		if !x.IsIntegral(0) {
 			t.Fatalf("slot %d: version placement fractional", tt)

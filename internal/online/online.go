@@ -136,23 +136,6 @@ type Config struct {
 	// offline solve; the μ warm start across overlapping windows makes up
 	// the difference).
 	Core core.Options
-	// DisableMuWarmStart turns off carrying shifted dual multipliers
-	// between consecutive window solves of the same FHC version (kept as
-	// an ablation knob; warm starts change results only through solver
-	// accuracy).
-	DisableMuWarmStart bool
-	// DisableIterateWarmStart turns off the cross-window reuse of P2
-	// solver state between consecutive window solves of the same FHC
-	// version: the shifted dual load iterates and the per-(t, n)
-	// coefficient precompute of the overlapping slots stop carrying over
-	// (core.Options.Advance stays 0 and every window rebinds from
-	// scratch). The x/y analogue of DisableMuWarmStart, kept as an
-	// ablation knob; like the μ warm start it changes results only
-	// through solver accuracy. Reuse is verified per slot against the
-	// actual demand plane, so under prediction noise (η > 0, where each
-	// window re-forecasts overlapping slots) the carried state degrades
-	// gracefully to a rebind.
-	DisableIterateWarmStart bool
 	// SingleVersion runs only version v = 0 instead of the r staggered
 	// versions — plain Fixed Horizon Control, the classic baseline RHC
 	// and AFHC generalise. No averaging occurs, so no rounding is needed.
@@ -296,7 +279,13 @@ type Result struct {
 
 // Run executes the configured controller over the instance's horizon,
 // reading demand forecasts from pred (whose truth tensor must be the
-// instance's demand).
+// instance's demand). It is a Stream over the completed tensor: the
+// versions run ahead over the whole horizon (in parallel, one trace track
+// each), then every slot is closed in order through the same
+// average/round/repair commit stage a live Stream runs. A run with armed
+// solver faults runs its versions one at a time, lowest version first:
+// they share the per-slot fault budgets, and that is the order in which a
+// Stream consumes them.
 //
 // Cancelling ctx aborts the run within one solver iteration, returning a
 // wrapped ctx.Err(); cfg.SlotBudget bounds each window solve
@@ -306,45 +295,26 @@ func Run(ctx context.Context, in *model.Instance, pred workload.Forecaster, cfg 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := in.Validate(); err != nil {
-		return nil, fmt.Errorf("online: %w", err)
-	}
-	cfg, err := cfg.withDefaults()
+	s, err := newStream(in, pred, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if pred == nil {
-		return nil, errors.New("online: nil predictor")
+	// The fan-out is supervised: a panic inside a version (solver bug,
+	// injected worker panic that escaped the per-solve guard) fails the
+	// run with a *parallel.PanicError instead of crashing the process.
+	workers := 0
+	if s.armed != nil {
+		workers = 1
 	}
-	if pred.Truth() != in.Demand {
-		return nil, errors.New("online: predictor truth is not the instance demand")
-	}
-
-	res := &Result{}
-	r := cfg.Commitment
-	versions := r
-	if cfg.SingleVersion {
-		versions = 1
-	}
-
-	// Armed solver faults (nil for fault-free runs) and the topology
-	// events every version must replan at.
-	armed := cfg.Faults.Arm()
-	events := in.EventSlots()
-
-	// Per-version committed actions for every real slot. Versions are
-	// mutually independent (each sees only its own committed state and the
-	// deterministic predictor), so they run in parallel. The fan-out is
-	// supervised: a panic inside a version (solver bug, injected worker
-	// panic that escaped the per-solve guard) fails the run with a
-	// *parallel.PanicError instead of crashing the process.
-	xa := make([][]model.CachePlan, versions)
-	ya := make([][]model.LoadPlan, versions)
-	stats := make([]VersionStats, versions)
-	err = parallel.ForSupervised(ctx, versions, 0, func(v int) error {
-		xa[v] = make([]model.CachePlan, in.T)
-		ya[v] = make([]model.LoadPlan, in.T)
-		return runVersion(ctx, in, pred, cfg, v, armed, events, xa[v], ya[v], &stats[v])
+	err = parallel.ForSupervised(ctx, len(s.versions), workers, func(v int) error {
+		// Each FHC version gets its own trace track, so concurrent
+		// versions render as separate Perfetto rows instead of
+		// interleaving.
+		ctx, vSpan := obs.StartTrack(ctx, "version")
+		vSpan.Set("controller", s.cfg.Name())
+		vSpan.Set("version", v)
+		defer vSpan.End()
+		return s.versions[v].runTo(ctx, in.T)
 	})
 	if err != nil {
 		// A bare dispatch-time cancellation from parallel.For needs the
@@ -355,41 +325,24 @@ func Run(ctx context.Context, in *model.Instance, pred workload.Forecaster, cfg 
 		}
 		return nil, err
 	}
-	for _, st := range stats {
-		res.WindowSolves += st.Solves
-		res.DualIterations += st.DualIters
-		res.Degraded += st.Degraded
-		res.Retries += st.Retries
-		res.Replans += st.Replans
+	if err := s.publish(); err != nil {
+		return nil, err
 	}
-
-	// Combine versions slot by slot: average, round, repair, commit.
-	traj := make(model.Trajectory, in.T)
-	comb := newCombiner(in, cfg, versions)
-	for t := 0; t < in.T; t++ {
+	for !s.Done() {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("online: commit at slot %d: %w", t, err)
+			return nil, fmt.Errorf("online: commit at slot %d: %w", s.cur, err)
 		}
-		if err := comb.average(t,
-			func(v int) model.CachePlan { return xa[v][t] },
-			func(v int) model.LoadPlan { return ya[v][t] }); err != nil {
+		if _, err := s.CloseSlot(ctx); err != nil {
 			return nil, err
 		}
-		dec, err := comb.commit(t)
-		if err != nil {
-			return nil, err
-		}
-		traj[t] = dec
 	}
-	res.RelaxedCost = comb.relaxed
-
-	if err := in.CheckTrajectory(traj, 1e-6); err != nil {
-		return nil, fmt.Errorf("online: committed trajectory infeasible: %w", err)
+	res, err := s.Result()
+	if err != nil {
+		return nil, err
 	}
-	res.Trajectory = traj
-	if cfg.Telemetry.Enabled() {
-		cfg.Telemetry.Emit("controller_done", obs.Fields{
-			"controller":      cfg.Name(),
+	if s.cfg.Telemetry.Enabled() {
+		s.cfg.Telemetry.Emit("controller_done", obs.Fields{
+			"controller":      s.cfg.Name(),
 			"relaxed_cost":    res.RelaxedCost,
 			"window_solves":   res.WindowSolves,
 			"dual_iterations": res.DualIterations,
@@ -399,43 +352,6 @@ func Run(ctx context.Context, in *model.Instance, pred workload.Forecaster, cfg 
 		})
 	}
 	return res, nil
-}
-
-// runVersion executes FHC version v: solve at times τ ≡ v (mod r), commit
-// slots [τ, τ+r). The start-up solve of versions v > 0 happens at τ = v−r
-// (per Ψ_v of Algorithm 3, with zero demand before slot 0), which reduces
-// to solving the clamped window [0, v−r+w) and committing [0, v).
-//
-// With a SlotBudget, each window solve runs under a deadline-carrying
-// child context spanning every retry attempt; an overrun degrades the
-// window (degradeWindow) rather than failing the version. Cancellation
-// of the parent ctx always fails the version with a wrapped ctx.Err().
-//
-// Failure awareness: commitments are truncated at topology events (slots
-// where some SBS's effective capacities change, in.EventSlots), so the
-// post-event world is re-solved immediately instead of riding out stale
-// commitments; the version then resumes its τ ≡ v (mod r) lattice at the
-// next boundary, which keeps fault-free runs byte-identical to the
-// pre-fault controller. Solve failures walk retry-with-backoff first
-// (RetryPolicy), then the degradation ladder.
-func runVersion(ctx context.Context, in *model.Instance, pred workload.Forecaster, cfg Config, v int,
-	armed *fault.Armed, events []int, xa []model.CachePlan, ya []model.LoadPlan, stats *VersionStats) error {
-
-	// Each FHC version gets its own trace track, so concurrent versions
-	// render as separate Perfetto rows instead of interleaving.
-	ctx, vSpan := obs.StartTrack(ctx, "version")
-	vSpan.Set("controller", cfg.Name())
-	vSpan.Set("version", v)
-	defer vSpan.End()
-
-	vs := newVersionState(in, pred, cfg, v, armed, events, xa, ya)
-	for !vs.done() {
-		if err := vs.step(ctx); err != nil {
-			return err
-		}
-	}
-	*stats = vs.stats
-	return nil
 }
 
 // solveOnce runs one solve attempt, applying any armed solver fault for

@@ -170,51 +170,27 @@ func RestoreStream(ctx context.Context, in *model.Instance, pred workload.Foreca
 	if snap == nil {
 		return nil, fmt.Errorf("online: nil snapshot")
 	}
-	if err := in.Validate(); err != nil {
-		return nil, fmt.Errorf("online: %w", err)
-	}
-	cfg, err := cfg.withDefaults()
+	s, err := newStream(in, pred, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if pred == nil {
-		return nil, fmt.Errorf("online: nil predictor")
-	}
-	if pred.Truth() != in.Demand {
-		return nil, fmt.Errorf("online: predictor truth is not the instance demand")
-	}
-	if name := cfg.Name(); name != snap.Algorithm {
+	if name := s.cfg.Name(); name != snap.Algorithm {
 		return nil, fmt.Errorf("online: snapshot taken under %s, restoring under %s", snap.Algorithm, name)
 	}
 	if snap.Slot < 0 || snap.Slot > in.T {
 		return nil, fmt.Errorf("online: snapshot slot %d outside [0, %d]", snap.Slot, in.T)
 	}
-	versions := cfg.Commitment
-	if cfg.SingleVersion {
-		versions = 1
-	}
-	if len(snap.Versions) != versions {
-		return nil, fmt.Errorf("online: snapshot has %d versions, config needs %d", len(snap.Versions), versions)
+	if len(snap.Versions) != len(s.versions) {
+		return nil, fmt.Errorf("online: snapshot has %d versions, config needs %d", len(snap.Versions), len(s.versions))
 	}
 
-	s := &Stream{in: in, pred: pred, cfg: cfg, cur: snap.Slot}
-	s.armed = cfg.Faults.Arm()
+	s.cur = snap.Slot
 	s.armed.Restore(snap.FaultBudgets)
-	events := in.EventSlots()
-	s.versions = make([]*versionState, versions)
-	s.xa = make([][]model.CachePlan, versions)
-	s.ya = make([][]model.LoadPlan, versions)
-	for v := range s.versions {
-		s.xa[v] = make([]model.CachePlan, in.T)
-		s.ya[v] = make([]model.LoadPlan, in.T)
-		vs := newVersionState(in, pred, cfg, v, s.armed, events, s.xa[v], s.ya[v])
+	for v, vs := range s.versions {
 		if err := vs.restore(&snap.Versions[v], snap.Slot); err != nil {
 			return nil, err
 		}
-		s.versions[v] = vs
 	}
-
-	s.comb = newCombiner(in, cfg, versions)
 	s.comb.relaxed = snap.RelaxedCost
 	s.comb.capSBS = snap.CapacityDrops
 	s.comb.bwRepairs = snap.BandwidthRepairs
@@ -224,7 +200,6 @@ func RestoreStream(ctx context.Context, in *model.Instance, pred workload.Foreca
 	if snap.PrevX != nil {
 		s.comb.prevX = clonePlan(snap.PrevX)
 	}
-	s.traj = make(model.Trajectory, 0, in.T)
 	s.traj = append(s.traj, cloneTrajectory(snap.Trajectory)...)
 	if len(s.traj) != s.cur {
 		return nil, fmt.Errorf("online: snapshot trajectory covers %d slots, open slot is %d", len(s.traj), s.cur)

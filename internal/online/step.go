@@ -15,7 +15,7 @@ import (
 )
 
 // VersionStats aggregates one FHC version's solver effort. The fields
-// mirror Result's counters; Run and Stream sum them across versions.
+// mirror Result's counters; Stream sums them across versions.
 type VersionStats struct {
 	Solves    int `json:"solves"`
 	DualIters int `json:"dualIterations"`
@@ -24,11 +24,22 @@ type VersionStats struct {
 	Replans   int `json:"replans"`
 }
 
-// versionState is the between-windows state of one FHC version, factored
-// out of the batch loop so the same machinery can run eagerly (runVersion,
-// all windows at once) or incrementally (Stream, windows stepped as live
-// slots close) — and so the whole of it can be serialised for
-// snapshot/restore (VersionSnapshot).
+// versionState is the between-windows state of one FHC version. A
+// Stream steps its versions with runTo: eagerly over the whole horizon
+// in Run's run-ahead, or one slot at a time as a live stream closes
+// slots. The whole of it serialises for snapshot/restore
+// (VersionSnapshot).
+//
+// The version solves at times τ ≡ v (mod r) and commits slots [τ, τ+r).
+// The start-up solve of versions v > 0 happens at τ = v−r (per Ψ_v of
+// Algorithm 3, with zero demand before slot 0), which reduces to solving
+// the clamped window [0, v−r+w) and committing [0, v). Commitments are
+// truncated at topology events (slots where some SBS's effective
+// capacities change, in.EventSlots), so the post-event world is
+// re-solved immediately instead of riding out stale commitments; the
+// version then resumes its lattice at the next boundary, which keeps
+// fault-free runs byte-identical to the pre-fault controller. At an
+// event slot every version replans at the same τ.
 //
 // Two warm-start seams are tracked *separately*, which is the bug fix of
 // this revision: the μ block and the solver workspace do not always come
@@ -103,21 +114,27 @@ func newVersionState(in *model.Instance, pred workload.Forecaster, cfg Config, v
 	}
 }
 
-// done reports whether the version has committed the whole horizon.
-func (vs *versionState) done() bool { return vs.tau >= vs.in.T }
-
-// committedThrough returns the first slot this version has not yet
-// committed an action for.
-func (vs *versionState) committedThrough() int {
-	if vs.tau < 0 {
-		return 0
+// runTo steps the version until it has committed an action for every
+// slot before end (end ≥ 1, capped at the horizon).
+func (vs *versionState) runTo(ctx context.Context, end int) error {
+	for vs.tau < min(end, vs.in.T) {
+		if err := vs.step(ctx); err != nil {
+			return err
+		}
 	}
-	return vs.tau
+	return nil
 }
 
 // step runs one window: forecast, solve (with retries, fault injection
 // and the degradation ladder), commit [from, commitEnd), advance tau.
 // A step that lands on an empty window just advances tau.
+//
+// With a SlotBudget, the window solve runs under a deadline-carrying
+// child context spanning every retry attempt; an overrun degrades the
+// window (degradeWindow) rather than failing the version. Cancellation
+// of ctx always fails the version with a wrapped ctx.Err(). Solve
+// failures walk retry-with-backoff first (RetryPolicy), then the
+// degradation ladder.
 func (vs *versionState) step(ctx context.Context) error {
 	in, cfg, v, r := vs.in, vs.cfg, vs.v, vs.cfg.Commitment
 	tau := vs.tau
@@ -152,7 +169,7 @@ func (vs *versionState) step(ctx context.Context) error {
 	opts := cfg.Core
 	opts.Telemetry = cfg.Telemetry
 	opts.Workspace = vs.ws
-	if !cfg.DisableMuWarmStart && vs.warmMu != nil {
+	if vs.warmMu != nil {
 		opts.InitialMu = shiftMu(vs.warmMu, vs.muFrom, vs.muTo, from, to, in)
 	}
 	// Cross-window P2 reuse: declare how far this window slid past the
@@ -164,7 +181,7 @@ func (vs *versionState) step(ctx context.Context) error {
 	// measured from wsFrom — the last window a solve attempt really bound
 	// — never from a window whose attempts were all consumed by injected
 	// faults before reaching the solver.
-	if !cfg.DisableIterateWarmStart && vs.wsBound && from > vs.wsFrom {
+	if vs.wsBound && from > vs.wsFrom {
 		opts.Advance = from - vs.wsFrom
 	} else {
 		opts.Advance = 0

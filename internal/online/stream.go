@@ -10,11 +10,12 @@ import (
 	"edgecache/internal/workload"
 )
 
-// Stream is the incremental form of Run: the same staggered FHC versions
-// and the same average/round/repair commit stage, driven one slot at a
-// time as a live request stream closes slots, instead of eagerly over a
-// horizon of already-known demand. It is the engine of the control-plane
-// service (package serve).
+// Stream is the online controller: the staggered FHC versions
+// (versionState) and the average/round/repair commit stage (combiner),
+// driven one slot at a time. A live request stream closes its slots as
+// they end; it is the engine of the control-plane service (package
+// serve). Run is a Stream over a completed tensor: its versions run ahead
+// over the whole horizon before the slots are closed in order.
 //
 // Protocol: the instance's demand tensor is filled externally (the slot's
 // empirical rates must be final before CloseSlot). While slot t is open,
@@ -22,16 +23,18 @@ import (
 // average of the versions' committed placements, which is demand-
 // independent, plus (in LoadPredicted mode) the clamped split without the
 // bandwidth rescale, which is not. CloseSlot then finalises the decision
-// against the realised row with arithmetic identical to the batch loop.
+// against the realised row.
 //
 // Determinism: with a Forecaster that is a pure function of the truth
 // prefix (workload.OnlineEstimator) or of (tau, from, to) alone
 // (workload.Predictor), a Stream over a fully replayed trace commits the
-// exact trajectory Run computes in batch over the completed tensor — the
-// versions run the identical window solves in the identical order, merely
-// interleaved differently. SlotBudget is the one escape hatch: wall-clock
-// deadlines are inherently non-reproducible, so restart-equivalent
-// deployments leave it zero and bound work with Core.MaxIter instead.
+// exact trajectory Run computes over the completed tensor — the versions
+// run the identical window solves, merely interleaved differently with
+// the commit stage. Versions consume shared solver-fault budgets lowest
+// version first on both paths. SlotBudget is the one escape hatch:
+// wall-clock deadlines are inherently non-reproducible, so
+// restart-equivalent deployments leave it zero and bound work with
+// Core.MaxIter instead.
 type Stream struct {
 	in   *model.Instance
 	pred workload.Forecaster
@@ -49,15 +52,11 @@ type Stream struct {
 	planY model.LoadPlan // nil in LoadReactive mode (needs realised demand)
 }
 
-// NewStream validates the configuration and solves the start-up windows:
-// every version is advanced until it has committed an action for slot 0,
-// and the provisional plan for slot 0 is published. Demand rows may still
-// be all-zero at this point — a live controller forecasts slot 0 from the
-// zero prior.
-func NewStream(ctx context.Context, in *model.Instance, pred workload.Forecaster, cfg Config) (*Stream, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// newStream checks the instance, predictor and configuration, arms the
+// configuration's solver faults and allocates the versions and the
+// combiner, with no slot closed and no window solved yet. It is the one
+// constructor behind NewStream, RestoreStream and Run.
+func newStream(in *model.Instance, pred workload.Forecaster, cfg Config) (*Stream, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("online: %w", err)
 	}
@@ -71,12 +70,11 @@ func NewStream(ctx context.Context, in *model.Instance, pred workload.Forecaster
 	if pred.Truth() != in.Demand {
 		return nil, errors.New("online: predictor truth is not the instance demand")
 	}
-	s := &Stream{in: in, pred: pred, cfg: cfg}
 	versions := cfg.Commitment
 	if cfg.SingleVersion {
 		versions = 1
 	}
-	s.armed = cfg.Faults.Arm()
+	s := &Stream{in: in, pred: pred, cfg: cfg, armed: cfg.Faults.Arm()}
 	events := in.EventSlots()
 	s.versions = make([]*versionState, versions)
 	s.xa = make([][]model.CachePlan, versions)
@@ -86,22 +84,36 @@ func NewStream(ctx context.Context, in *model.Instance, pred workload.Forecaster
 		s.ya[v] = make([]model.LoadPlan, in.T)
 		s.versions[v] = newVersionState(in, pred, cfg, v, s.armed, events, s.xa[v], s.ya[v])
 	}
-	s.comb = newCombiner(in, cfg, versions)
+	s.comb = newCombiner(in, cfg)
 	s.traj = make(model.Trajectory, 0, in.T)
+	return s, nil
+}
+
+// NewStream validates the configuration and solves the start-up windows:
+// every version is advanced until it has committed an action for slot 0,
+// and the provisional plan for slot 0 is published. Demand rows may still
+// be all-zero at this point — a live controller forecasts slot 0 from the
+// zero prior.
+func NewStream(ctx context.Context, in *model.Instance, pred workload.Forecaster, cfg Config) (*Stream, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	s, err := newStream(in, pred, cfg)
+	if err != nil {
+		return nil, err
+	}
 	if err := s.advance(ctx); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// advance steps every version until it has committed the open slot, then
-// publishes the provisional plan for it.
+// advance steps every version, lowest first, until it has committed the
+// open slot, then publishes the provisional plan for it.
 func (s *Stream) advance(ctx context.Context) error {
 	for _, vs := range s.versions {
-		for !vs.done() && vs.committedThrough() <= s.cur {
-			if err := vs.step(ctx); err != nil {
-				return err
-			}
+		if err := vs.runTo(ctx, s.cur+1); err != nil {
+			return err
 		}
 	}
 	return s.publish()
@@ -111,9 +123,7 @@ func (s *Stream) advance(ctx context.Context) error {
 // slot from the versions' committed actions.
 func (s *Stream) publish() error {
 	t := s.cur
-	if err := s.comb.average(t,
-		func(v int) model.CachePlan { return s.xa[v][t] },
-		func(v int) model.LoadPlan { return s.ya[v][t] }); err != nil {
+	if err := s.comb.average(t, s.xa, s.ya); err != nil {
 		return err
 	}
 	x, _, _, _ := roundPlacement(s.in, t, s.comb.avgX, s.cfg.Rho)
@@ -192,9 +202,7 @@ func (s *Stream) CloseSlot(ctx context.Context) (model.SlotDecision, error) {
 	// pure function of the versions' committed actions), re-run so the
 	// commit below always consumes buffers for slot t even if a restore
 	// or an out-of-band publish touched them.
-	if err := s.comb.average(t,
-		func(v int) model.CachePlan { return s.xa[v][t] },
-		func(v int) model.LoadPlan { return s.ya[v][t] }); err != nil {
+	if err := s.comb.average(t, s.xa, s.ya); err != nil {
 		return model.SlotDecision{}, err
 	}
 	dec, err := s.comb.commit(t)
@@ -243,9 +251,8 @@ func (s *Stream) Stats() StreamStats {
 	return st
 }
 
-// Result assembles the completed run into the same Result batch Run
-// returns, verifying the committed trajectory. It errors while slots
-// remain open.
+// Result assembles the completed run into a Result, verifying the
+// committed trajectory. It errors while slots remain open.
 func (s *Stream) Result() (*Result, error) {
 	if !s.Done() {
 		return nil, fmt.Errorf("online: %d of %d slots still open", s.in.T-s.cur, s.in.T)

@@ -30,50 +30,71 @@ func drain(t *testing.T, s *Stream) *Result {
 // TestStreamMatchesBatchRun pins the stream/batch equivalence contract:
 // a Stream driven slot by slot over the completed demand tensor commits
 // the exact trajectory (and counters) the batch controller computes —
-// the identical window solves run in the identical order, merely
-// interleaved with the commit stage. Solver faults consume the same
-// per-slot budgets either way (each decision slot belongs to exactly one
-// version).
+// the identical window solves, merely interleaved differently with the
+// commit stage. Solver faults must consume the same per-slot budgets
+// either way. Off topology events each decision slot belongs to one
+// version, but at an event slot every version replans at the same τ and
+// the versions compete for that slot's budget: batch must hand it out
+// lowest version first, as the Stream does. The batch side repeats, so a
+// run-ahead whose budget order depends on scheduling fails here.
 func TestStreamMatchesBatchRun(t *testing.T) {
 	faulted := &fault.Schedule{Injectors: []fault.Injector{
 		fault.SolverFault{Slot: 2, Attempts: 3},
 		fault.SolverFault{Slot: 7, Attempts: 1},
 	}}
+	// A solver fault on an outage's first slot, where all four AFHC
+	// versions replan.
+	eventFaulted := &fault.Schedule{Injectors: []fault.Injector{
+		fault.Outage{SBS: 0, From: 5, To: 7},
+		fault.SolverFault{Slot: 5, Attempts: 3},
+	}}
+	eventInstance := func(c *workload.InstanceConfig) { c.Seed, c.K, c.CacheCap = 9, 10, 3 }
 	cases := []struct {
-		name  string
-		cfg   Config
-		sched *fault.Schedule
+		name   string
+		cfg    Config
+		sched  *fault.Schedule
+		mutate func(*workload.InstanceConfig)
 	}{
-		{"RHC", RHC(4), nil},
-		{"CHC", CHC(4, 2), nil},
-		{"FHC", FHC(4), nil},
-		{"RHC-faulted", RHC(4), faulted},
-		{"CHC-faulted", CHC(4, 2), faulted},
+		{"RHC", RHC(4), nil, nil},
+		{"CHC", CHC(4, 2), nil, nil},
+		{"FHC", FHC(4), nil, nil},
+		{"RHC-faulted", RHC(4), faulted, nil},
+		{"CHC-faulted", CHC(4, 2), faulted, nil},
+		{"AFHC-event-faulted", AFHC(4), eventFaulted, eventInstance},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			in, pred := smallInstance(t, nil)
+			in, pred := smallInstance(t, tc.mutate)
+			if tc.sched != nil {
+				// The overlay shares the demand tensor, so pred stays valid.
+				var err error
+				if in, err = tc.sched.Materialize(in, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
 			cfg := tc.cfg
 			cfg.Faults = tc.sched
-			batch, err := Run(context.Background(), in, pred, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			s, err := NewStream(context.Background(), in, pred, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			live := drain(t, s)
-			if !reflect.DeepEqual(batch.Trajectory, live.Trajectory) {
-				t.Fatal("stream trajectory diverges from batch run")
-			}
-			if batch.RelaxedCost != live.RelaxedCost ||
-				batch.WindowSolves != live.WindowSolves ||
-				batch.DualIterations != live.DualIterations ||
-				batch.Degraded != live.Degraded ||
-				batch.Retries != live.Retries ||
-				batch.Replans != live.Replans {
-				t.Fatalf("stream counters diverge from batch: %+v vs %+v", live, batch)
+			for rep := 0; rep < 20; rep++ {
+				batch, err := Run(context.Background(), in, pred, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(batch.Trajectory, live.Trajectory) {
+					t.Fatalf("batch run %d: stream trajectory diverges from batch run", rep)
+				}
+				if batch.RelaxedCost != live.RelaxedCost ||
+					batch.WindowSolves != live.WindowSolves ||
+					batch.DualIterations != live.DualIterations ||
+					batch.Degraded != live.Degraded ||
+					batch.Retries != live.Retries ||
+					batch.Replans != live.Replans {
+					t.Fatalf("batch run %d: stream counters diverge from batch: %+v vs %+v", rep, live, batch)
+				}
 			}
 		})
 	}

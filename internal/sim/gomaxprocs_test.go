@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"edgecache/internal/core"
+	"edgecache/internal/fault"
 	"edgecache/internal/model"
 	"edgecache/internal/online"
 	"edgecache/internal/workload"
@@ -24,8 +25,11 @@ const gomaxprocsOutEnv = "EDGECACHE_GOMAXPROCS_TRAJECTORIES"
 // TestTrajectoriesIndependentOfGOMAXPROCS pins that committed trajectories
 // do not depend on the worker count: the test binary re-executes itself
 // with GOMAXPROCS=1 and GOMAXPROCS=4 and requires byte-identical JSON
-// trajectories for Offline, RHC(3) and CHC(4,2) on a dense and a sparse
-// instance. A re-exec is needed because the shared worker pool of package
+// trajectories for Offline, RHC(3), CHC(4,2) and a faulted AFHC(4) on a
+// dense and a sparse instance. The faulted run injects a solver fault on
+// an outage's first slot, where every AFHC version replans and the
+// versions compete for that slot's fault budget. A re-exec is needed
+// because the shared worker pool of package
 // parallel is sized once at init, so changing runtime.GOMAXPROCS inside
 // the process would not change the fan-out.
 func TestTrajectoriesIndependentOfGOMAXPROCS(t *testing.T) {
@@ -92,16 +96,24 @@ func writeGOMAXPROCSTrajectories(t *testing.T, out string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pol := range []Policy{
-			Offline(core.Options{MaxIter: 20}),
-			Online(online.RHC(3)),
-			Online(online.CHC(4, 2)),
+		eventFault := &fault.Schedule{Injectors: []fault.Injector{
+			fault.Outage{SBS: 0, From: 3, To: 5},
+			fault.SolverFault{Slot: 3, Attempts: 3},
+		}}
+		for _, run := range []struct {
+			pol    Policy
+			faults *fault.Schedule
+		}{
+			{Offline(core.Options{MaxIter: 20}), nil},
+			{Online(online.RHC(3)), nil},
+			{Online(online.CHC(4, 2)), nil},
+			{Online(online.AFHC(4)), eventFault},
 		} {
-			r, err := Run(context.Background(), in, pred, pol)
+			r, err := RunWith(context.Background(), in, pred, run.pol, Config{Faults: run.faults})
 			if err != nil {
-				t.Fatalf("%s %s: %v", inst.name, pol.Name(), err)
+				t.Fatalf("%s %s: %v", inst.name, run.pol.Name(), err)
 			}
-			results = append(results, result{inst.name, pol.Name(), r.Trajectory, r.Cost})
+			results = append(results, result{inst.name, run.pol.Name(), r.Trajectory, r.Cost})
 		}
 	}
 	data, err := json.Marshal(results)

@@ -12,11 +12,7 @@ import (
 
 // incrementalPolicyPairs enumerates (delta-aware, from-scratch) policy
 // pairs that must simulate identically: the same controller with the
-// incremental machinery on versus ablated (core.Options.DisableIncremental),
-// holding every accuracy-level knob — μ warm start, iterate warm start —
-// equal within each pair. The iterate warm start is exercised both on
-// (the online default) and off, because it changes which cross-window
-// state exists for the delta machinery to reuse.
+// incremental machinery on versus ablated (core.Options.DisableIncremental).
 func incrementalPolicyPairs() map[string][2]Policy {
 	pairs := map[string][2]Policy{
 		"offline": {
@@ -24,17 +20,13 @@ func incrementalPolicyPairs() map[string][2]Policy {
 			Offline(core.Options{MaxIter: 25, DisableIncremental: true}),
 		},
 	}
-	for name, mk := range map[string]func() online.Config{
-		"rhc": func() online.Config { return online.RHC(4) },
-		"chc": func() online.Config { return online.CHC(4, 2) },
+	for name, cfg := range map[string]online.Config{
+		"rhc": online.RHC(4),
+		"chc": online.CHC(4, 2),
 	} {
-		for suffix, noCarry := range map[string]bool{"": false, "_nocarry": true} {
-			cfg := mk()
-			cfg.DisableIterateWarmStart = noCarry
-			ref := cfg
-			ref.Core.DisableIncremental = true
-			pairs[name+suffix] = [2]Policy{Online(cfg), Online(ref)}
-		}
+		ref := cfg
+		ref.Core.DisableIncremental = true
+		pairs[name] = [2]Policy{Online(cfg), Online(ref)}
 	}
 	return pairs
 }
