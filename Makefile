@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check loc test test-short race staticcheck ci bench bench-diff trace-demo cover fuzz audit chaos chaos-live chaos-crash serve-smoke experiments report examples
+.PHONY: all build vet fmt-check loc test test-short race staticcheck ci bench bench-diff trace-demo cover fuzz audit chaos chaos-live chaos-crash serve-smoke perfbench-check experiments report examples
 
 all: build vet test
 
@@ -25,6 +25,12 @@ loc:
 test:
 	$(GO) test ./...
 
+# The benchmark harness is its own module, so the root ./... patterns
+# skip it: vet and test it on its own, so a change to an API it calls
+# cannot break the benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 test-short:
 	$(GO) test -short ./...
 
@@ -42,7 +48,7 @@ staticcheck:
 	fi
 
 # Everything .github/workflows/ci.yml checks, locally.
-ci: build vet fmt-check test race chaos serve-smoke chaos-live chaos-crash staticcheck bench bench-diff trace-demo
+ci: build vet fmt-check test perfbench-check race chaos serve-smoke chaos-live chaos-crash staticcheck bench bench-diff trace-demo
 
 # Benchmark run recorded as JSON (see cmd/bench and DESIGN.md §8). CI uses
 # the short BENCHTIME as a smoke pass; for tracked numbers use the default

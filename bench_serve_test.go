@@ -1,6 +1,7 @@
-// Durable-service publish benchmarks: writing and reading back one
-// snapshot generation, the per-slot-close and per-recovery costs of the
-// crash-safe controller (DESIGN.md §12, §14).
+// Durable-service benchmarks: writing and reading back one snapshot
+// generation, the per-slot-close and per-recovery costs of the
+// crash-safe controller, plus a whole recovery and one report append
+// (DESIGN.md §12, §14).
 package edgecache_test
 
 import (
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"edgecache"
+	"edgecache/internal/model"
 	"edgecache/internal/online"
 	"edgecache/internal/serve"
 	"edgecache/internal/trace"
@@ -75,6 +77,100 @@ func BenchmarkServe_SnapshotLoad(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := serve.LoadSnapshot(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ingestShape is the serve-ingest benchmark workload's topology and
+// controller: 4 SBSs, 8 classes, K=30, 60 slots, RHC(2), reports sent in
+// batches of ingestBatch.
+func ingestShape(b *testing.B) (*model.Instance, *trace.Trace, serve.Config) {
+	b.Helper()
+	in, _, err := edgecache.NewScenario(4, 30, 8, 60).
+		WithCache(5).WithBandwidth(3000).WithBeta(100).WithDensity(400).
+		WithJitter(0.4).WithSeed(1).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return in, trace.Generate(in.Demand, 1), serve.Config{Online: online.RHC(2), EstimatorFloor: -1, WALFsync: serve.FsyncOff}
+}
+
+const ingestBatch = 16
+
+// ingestSlotBatches books slot s of tr into c in batches of ingestBatch
+// and returns how many batches it sent.
+func ingestSlotBatches(b *testing.B, c *serve.Controller, tr *trace.Trace, s int) int {
+	b.Helper()
+	var reqs []serve.Request
+	for n := 0; n < tr.N(); n++ {
+		for _, r := range tr.Slot(s, n) {
+			reqs = append(reqs, serve.Request{SBS: r.SBS, Class: r.Class, Content: r.Content})
+		}
+	}
+	batches := 0
+	for lo := 0; lo < len(reqs); lo += ingestBatch {
+		if _, err := c.Ingest(reqs[lo:min(lo+ingestBatch, len(reqs))]); err != nil {
+			b.Fatal(err)
+		}
+		batches++
+	}
+	return batches
+}
+
+// BenchmarkServe_Recover times serve.Open on a serve-ingest-shaped state
+// dir: the generation published when slot 10 opened, then one open slot
+// of reports in the WAL (~390 records of 16). Open restores the
+// generation, replays the records and solves the open slot's window.
+func BenchmarkServe_Recover(b *testing.B) {
+	in, tr, cfg := ingestShape(b)
+	cfg.StateDir = b.TempDir()
+	ctx := context.Background()
+	c, err := serve.Open(ctx, in, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for s := 0; s < 10; s++ {
+		ingestSlotBatches(b, c, tr, s)
+		if _, err := c.Tick(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	records := ingestSlotBatches(b, c, tr, 10)
+	if err := c.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c, err := serve.Open(ctx, in, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(records), "records")
+}
+
+// BenchmarkServe_Report times one 16-report Ingest on a durable
+// serve-ingest-shaped controller under FsyncOff: validation, WAL frame
+// encode and write, and booking into the open slot.
+func BenchmarkServe_Report(b *testing.B) {
+	in, tr, cfg := ingestShape(b)
+	cfg.StateDir = b.TempDir()
+	c, err := serve.Open(context.Background(), in, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	var batch []serve.Request
+	for _, r := range tr.Slot(0, 0)[:ingestBatch] {
+		batch = append(batch, serve.Request{SBS: r.SBS, Class: r.Class, Content: r.Content})
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.Ingest(batch); err != nil {
 			b.Fatal(err)
 		}
 	}

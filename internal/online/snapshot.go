@@ -34,10 +34,10 @@ import (
 //     forecaster needs no state of its own because every shipped
 //     Forecaster is a pure function of the (snapshotted) demand tensor.
 //
-// The snapshot is plain data: encode it with encoding/json (Go's float64
-// encoding round-trips exactly via the shortest-representation parser).
-// Demand rows are NOT included — the serving layer owns the tensor and
-// snapshots the realised rows alongside (package serve).
+// The snapshot is plain data: any encoding that keeps float64 values
+// exactly restores it (package serve's durable store writes a binary
+// one). Demand rows are NOT included — the serving layer owns the
+// tensor and snapshots the realised rows alongside (package serve).
 //
 // Durability layering (DESIGN.md §14): a StreamSnapshot only ever
 // describes slot-boundary state — Stream has no mid-slot state to carry,

@@ -123,6 +123,7 @@ type Controller struct {
 	wal            *wal
 	walErr         error  // sticky: any WAL write failure poisons the controller
 	lastSeq        uint64 // last appended WAL sequence number
+	genBuf         []byte // generation encode buffer, reused across publishes
 	walSeqClosed   uint64 // sequence of the last close marker (envelope watermark)
 	ingestedClosed int64  // total at that close (envelope Ingested)
 	openReports    int64  // report entries booked into the open slot
@@ -244,7 +245,7 @@ func openDurable(ctx context.Context, base *model.Instance, cfg Config) (*Contro
 	// re-publish the generation the crash destroyed — so the next startup
 	// does not depend on the same fallback chain again.
 	if rs.genesis || rs.fallbacks > 0 || c.stream.Slot() != rs.gen {
-		if err := saveGeneration(cfg.StateDir, c.envelopeLocked(), cfg.DiskFaults); err != nil {
+		if err := saveGeneration(cfg.StateDir, c.envelopeLocked(), &c.genBuf, cfg.DiskFaults); err != nil {
 			c.wal.close()
 			return nil, err
 		}
@@ -493,7 +494,7 @@ func (c *Controller) Tick(ctx context.Context) (*TickResult, error) {
 // close marker must already be durable.
 func (c *Controller) saveAndRotateLocked() error {
 	env := c.envelopeLocked()
-	if err := saveGeneration(c.cfg.StateDir, env, c.cfg.DiskFaults); err != nil {
+	if err := saveGeneration(c.cfg.StateDir, env, &c.genBuf, c.cfg.DiskFaults); err != nil {
 		return err
 	}
 	if err := c.wal.close(); err != nil {

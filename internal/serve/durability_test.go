@@ -311,7 +311,7 @@ func TestWALGarbageTailTolerated(t *testing.T) {
 	c.Close()
 
 	// Garbage tail on the live segment: a half-written frame.
-	frame, err := encodeWALFrame(walRecord{Seq: 999, Kind: walKindClose, Slot: 0})
+	frame, err := appendWALFrame(nil, walRecord{Seq: 999, Kind: walKindClose, Slot: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestWALContinuityGuards(t *testing.T) {
 	}
 	var rebuilt []byte
 	for _, r := range recs[1:] {
-		frame, err := encodeWALFrame(r)
+		frame, err := appendWALFrame(nil, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,11 +542,15 @@ func TestFaultedScheduleDurableRestart(t *testing.T) {
 
 // TestOpenReadsGenerationWithCompactFlags pins backward compatibility of
 // the durable store: testdata/compactok-state is a state dir written by a
-// build whose snapshots carried per-slot "compactOK" flags (CHC(4,2),
-// trace seed 19, closed through slot 5) and that still carries every
-// closed slot's per-version actions. No struct field matches the flags
-// any more; the checksum covers the raw bytes, so the generation still
-// verifies, and the restored controller must resume at slot 5 and
+// version-2 build whose snapshots carried per-slot "compactOK" flags
+// (CHC(4,2), trace seed 19, closed through slot 5) and that still carries
+// every closed slot's per-version actions. No struct field matches the
+// flags any more; the checksum covers the raw bytes, so the JSON
+// generation still verifies. The fixture's wal.000005 is empty; the
+// first half of slot 5's reports is written into it as a version-2 JSON
+// frame before the first Open, and the second half is ingested after
+// it, so a binary frame follows the JSON one in the reopened segment.
+// The controller must recover both halves across a second Open and
 // finish identical to an uninterrupted run.
 func TestOpenReadsGenerationWithCompactFlags(t *testing.T) {
 	ctx := context.Background()
@@ -565,13 +569,55 @@ func TestOpenReadsGenerationWithCompactFlags(t *testing.T) {
 	cfg := Config{Online: online.CHC(4, 2), EstimatorFloor: -1, StateDir: dir, SnapKeep: 1}
 	want := goldenResult(t, cfg, tr)
 
+	gen, err := loadGeneration(dir, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []Request
+	for _, batch := range traceBatches(tr, base.T)[5] {
+		reqs = append(reqs, batch...)
+	}
+	half := len(reqs) / 2
+	if half == 0 {
+		t.Fatalf("slot 5 has %d reports; need 2 to split across formats", len(reqs))
+	}
+	seg := jsonWALFrame(t, walRecord{Seq: gen.WalSeq + 1, Kind: walKindReports, Slot: 5, Reqs: reqs[:half]})
+	if err := os.WriteFile(segPath(dir, 5), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	c, err := Open(ctx, base, cfg)
 	if err != nil {
 		t.Fatalf("open state written with compact flags: %v", err)
 	}
+	if got := c.Stats(); got.Slot != 5 || got.Ingested != gen.Ingested+int64(half) {
+		t.Fatalf("restored slot %d with %d reports, want 5 and %d", got.Slot, got.Ingested, gen.Ingested+int64(half))
+	}
+	if _, err := c.Ingest(reqs[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(segPath(dir, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, n := decodeWALBuffer(data)
+	if n != len(data) || len(recs) != 2 || data[walFrameHeader] != '{' || data[len(seg)+walFrameHeader] != walTagV3 {
+		t.Fatalf("wal.000005 holds %d records in %d of %d bytes; want a JSON frame, then a binary one", len(recs), n, len(data))
+	}
+
+	c, err = Open(ctx, base, cfg)
+	if err != nil {
+		t.Fatalf("open a segment of JSON and binary frames: %v", err)
+	}
 	defer c.Close()
-	if got := c.Stats().Slot; got != 5 {
-		t.Fatalf("restored slot %d, want 5", got)
+	if got := c.Stats(); got.Slot != 5 || got.Ingested != gen.Ingested+int64(len(reqs)) {
+		t.Fatalf("reopened at slot %d with %d reports, want 5 and %d", got.Slot, got.Ingested, gen.Ingested+int64(len(reqs)))
+	}
+	if _, err := c.Tick(ctx); err != nil {
+		t.Fatal(err)
 	}
 	driveToCompletion(t, c, tr)
 	got, err := c.Result()

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"os"
 	"testing"
 
 	"edgecache/internal/online"
@@ -12,13 +13,30 @@ import (
 // FuzzSnapshotAndWALDecode feeds arbitrary bytes to both on-disk
 // decoders. The contract under fuzz is narrow and absolute: corrupt
 // input yields an error (snapshot) or a truncated record list (WAL) —
-// never a panic, never an unbounded allocation. The seed corpus covers
-// the two shapes a crash actually leaves behind, a truncated valid
-// snapshot and a valid WAL prefix with a garbage tail, plus the two
-// edits the raw-bytes checksum must catch around the offset it cuts at:
-// a key bit flip and a removed checksum member.
+// never a panic, never an unbounded allocation — and a v3 generation
+// that decodes re-encodes to exactly its input bytes. The seed corpus
+// covers both formats. For v2, the checked-in JSON generation, its
+// prefixes and the two edits the raw-bytes checksum must catch around
+// the offset it cuts at: a key bit flip and a removed checksum member.
+// For v3, a real generation, its prefixes, a bit flip and length fields
+// larger than the bytes left under a valid checksum. For the WAL, JSON
+// and binary frames in one buffer, with a garbage or torn tail.
 func FuzzSnapshotAndWALDecode(f *testing.F) {
-	// Seed 1: prefixes of a real snapshot envelope.
+	v2, err := os.ReadFile("testdata/compactok-state/snap.000005.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
+	f.Add(v2[:len(v2)/2])
+	f.Add(v2[:1])
+	f.Add(bytes.Replace(v2, []byte(`"slot"`), []byte(`"Slot"`), 1))
+	member := bytes.Index(v2, []byte(`,"checksum":`))
+	rows := bytes.Index(v2, rowsKey)
+	if member < 0 || rows < member {
+		f.Fatal("v2 seed carries no checksum member in front of rows")
+	}
+	f.Add(append(v2[:member:member], v2[rows:]...))
+
 	cfg := workload.PaperDefault()
 	cfg.T = 3
 	cfg.K = 4
@@ -38,38 +56,34 @@ func FuzzSnapshotAndWALDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	env := &Envelope{
+	v3 := appendSnapshot(nil, &Envelope{
 		FormatVersion: SnapshotFormatVersion,
 		Algorithm:     "rhc",
-		Slot:          0,
 		WalSeq:        7,
 		Controller:    stream.Snapshot(),
+	})
+	f.Add(v3)
+	f.Add(v3[:len(v3)/2])
+	f.Add(v3[:len(v3)-1])
+	f.Add(v3[:1])
+	flipped := append([]byte(nil), v3...)
+	flipped[len(flipped)/3] ^= 0x04
+	f.Add(flipped)
+	for _, body := range oversizedLengthBodies() {
+		f.Add(withCRC(body))
 	}
-	valid, err := encodeSnapshot(env)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:1])
-	f.Add(bytes.Replace(valid, []byte(`"slot"`), []byte(`"Slot"`), 1))
-	member := bytes.Index(valid, []byte(`,"checksum":`))
-	rows := bytes.Index(valid, rowsKey)
-	if member < 0 || rows < member {
-		f.Fatal("seed snapshot carries no checksum member in front of rows")
-	}
-	f.Add(append(valid[:member:member], valid[rows:]...))
 
-	// Seed 2: two good WAL frames followed by a garbage tail.
-	frame1, err := encodeWALFrame(walRecord{Seq: 1, Kind: walKindReports, Slot: 0, Reqs: []Request{{SBS: 0, Class: 1, Content: 2, Count: 3}}})
+	var wal []byte
+	wal = append(wal, jsonWALFrame(f, walRecord{Seq: 1, Kind: walKindReports, Slot: 0, Reqs: []Request{{SBS: 0, Class: 1, Content: 2, Count: 3}}})...)
+	wal, err = appendWALFrame(wal, walRecord{Seq: 2, Kind: walKindReports, Slot: 0, Reqs: []Request{{SBS: 1, Class: 0, Content: 3}}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	frame2, err := encodeWALFrame(walRecord{Seq: 2, Kind: walKindClose, Slot: 0})
+	wal, err = appendWALFrame(wal, walRecord{Seq: 3, Kind: walKindClose, Slot: 0})
 	if err != nil {
 		f.Fatal(err)
 	}
-	wal := append(append([]byte{}, frame1...), frame2...)
+	f.Add(wal)
 	f.Add(append(append([]byte{}, wal...), 0xDE, 0xAD, 0xBE, 0xEF))
 	f.Add(wal[:len(wal)-3])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
@@ -80,7 +94,13 @@ func FuzzSnapshotAndWALDecode(f *testing.F) {
 			if env.Controller == nil {
 				t.Fatal("decodeSnapshot returned nil controller without error")
 			}
-			if env.FormatVersion != SnapshotFormatVersion && env.FormatVersion != 1 {
+			switch env.FormatVersion {
+			case SnapshotFormatVersion:
+				if again := appendSnapshot(nil, env); !bytes.Equal(again, data) {
+					t.Fatalf("v3 generation re-encodes to different bytes:\n got % x\nwant % x", again, data)
+				}
+			case jsonFormatVersion:
+			default:
 				t.Fatalf("decodeSnapshot accepted foreign version %d", env.FormatVersion)
 			}
 		}

@@ -13,7 +13,10 @@ import (
 // taken when slot g became the open slot (so gen g covers the closed
 // slots [0, g)); segment g is the WAL file opened right after gen g was
 // published and receives every record from slot g onward until the next
-// rotation. Sequence numbers run monotonically across segments.
+// rotation. Sequence numbers run monotonically across segments. Both
+// file kinds use the codec.go format; generations keep the ".json" suffix
+// of the version-2 JSON encoding, so one name serves both formats and a
+// state dir upgraded in place needs no rename.
 //
 //	state/
 //	  snap.000016.json   generation 16 (open slot 16 at save time)
@@ -125,17 +128,16 @@ func writeFileAtomic(path string, data []byte) error {
 	return syncDir(dir)
 }
 
-// saveGeneration publishes env as generation env.Slot in dir. A
+// saveGeneration publishes env as generation env.Slot in dir, encoding
+// it into *buf, which is reused from one publish to the next. A
 // fault-injected save puts the mutated bytes (torn prefix or flipped
 // bit) directly at the final path and fires the simulated crash — the
 // write-then-rename discipline cannot be torn by the process itself, so
 // the injection models what a power cut mid-rename or silent media
 // corruption leaves behind.
-func saveGeneration(dir string, env *Envelope, faults *fault.DiskFaults) error {
-	data, err := encodeSnapshot(env)
-	if err != nil {
-		return err
-	}
+func saveGeneration(dir string, env *Envelope, buf *[]byte, faults *fault.DiskFaults) error {
+	*buf = appendSnapshot((*buf)[:0], env)
+	data := *buf
 	path := genPath(dir, env.Slot)
 	if mutated, crash := faults.SnapshotFault(data); crash {
 		if err := os.WriteFile(path, mutated, 0o644); err != nil {
@@ -147,8 +149,8 @@ func saveGeneration(dir string, env *Envelope, faults *fault.DiskFaults) error {
 	return writeFileAtomic(path, data)
 }
 
-// loadGeneration reads and fully verifies generation g: envelope parse,
-// format version, checksum, controller block.
+// loadGeneration reads and fully verifies generation g: checksum,
+// format version, envelope decode, controller block.
 func loadGeneration(dir string, g int) (*Envelope, error) {
 	data, err := os.ReadFile(genPath(dir, g))
 	if err != nil {

@@ -3,36 +3,18 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"reflect"
-	"strings"
 	"testing"
 
 	"edgecache/internal/online"
 	"edgecache/internal/trace"
 )
-
-// twoMarshalEncode is the reference encoding encodeSnapshot must
-// reproduce byte for byte: marshal with the checksum zeroed, checksum
-// those bytes, marshal again with the checksum set. It also returns the
-// checksum.
-func twoMarshalEncode(t *testing.T, env *Envelope) ([]byte, uint32) {
-	t.Helper()
-	e := *env
-	e.Checksum = 0
-	canonical, err := json.Marshal(&e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Checksum = crc32.Checksum(canonical, castagnoli)
-	data, err := json.Marshal(&e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, e.Checksum
-}
 
 // midHorizonEnvelope drives a durable-less CHC controller through five
 // slots of a real trace and returns its envelope.
@@ -53,117 +35,203 @@ func midHorizonEnvelope(t *testing.T) *Envelope {
 	return c.Snapshot()
 }
 
-// zeroChecksumAlgorithm returns a 48-letter Algorithm name over {a, c}
-// for which env's canonical encoding has CRC32C 0, so encodeSnapshot
-// takes its no-member branch. CRC32C is affine over GF(2) in the message
-// bits, and 'a' and 'c' differ in one bit, so the name is the solution
-// of a 32-equation linear system in the 48 letter choices.
-func zeroChecksumAlgorithm(t *testing.T, env *Envelope) string {
-	t.Helper()
-	const letters = 48
-	name := []byte(strings.Repeat("a", letters))
-	crcOf := func(alg []byte) uint32 {
-		e := *env
-		e.Algorithm, e.Checksum = string(alg), 0
-		data, err := json.Marshal(&e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return crc32.Checksum(data, castagnoli)
-	}
-	base := crcOf(name)
-	// Each basis row is a CRC change reachable by flipping the letters in
-	// flips; reduce `base` against the basis to find the flips that
-	// cancel it.
-	type row struct {
-		delta uint32
-		flips uint64
-	}
-	var basis []row
-	for i := 0; i < letters; i++ {
-		flipped := append([]byte(nil), name...)
-		flipped[i] = 'c'
-		r := row{crcOf(flipped) ^ base, 1 << i}
-		for _, b := range basis {
-			if r.delta^b.delta < r.delta {
-				r.delta, r.flips = r.delta^b.delta, r.flips^b.flips
-			}
-		}
-		if r.delta != 0 {
-			basis = append(basis, r)
-		}
-	}
-	want := row{base, 0}
-	for _, b := range basis {
-		if want.delta^b.delta < want.delta {
-			want.delta, want.flips = want.delta^b.delta, want.flips^b.flips
-		}
-	}
-	if want.delta != 0 {
-		t.Fatal("no zero-checksum algorithm name over these letters")
-	}
-	for i := 0; i < letters; i++ {
-		if want.flips&(1<<i) != 0 {
-			name[i] = 'c'
-		}
-	}
-	if crcOf(name) != 0 {
-		t.Fatal("solved algorithm name does not zero the checksum")
-	}
-	return string(name)
+// filler sets every exported field reachable from a value to a
+// distinct non-zero value, so a field the codec drops or confuses with a
+// neighbour decodes differently. Slice and map fields of structs follow
+// the mode (filled, nil or empty); inside a slice, a slice element
+// cycles through nil, empty and filled, so every nesting level carries
+// both variants. Floats cycle through the bit patterns a float codec
+// can get wrong — −0, a subnormal, the largest finite value — between
+// ordinary values.
+type filler struct {
+	t    *testing.T
+	mode string // "filled", "nil" or "empty"
+	next int
 }
 
-// TestEncodeSnapshotMatchesTwoMarshalEncoding pins the one-pass codec:
-// encodeSnapshot's bytes equal the two-marshal reference, and decoding
-// them returns the envelope with its checksum filled in.
-func TestEncodeSnapshotMatchesTwoMarshalEncoding(t *testing.T) {
-	mid := midHorizonEnvelope(t)
-	small := &online.StreamSnapshot{Algorithm: "RHC(w=2)", Slot: 1}
-	cases := []struct {
-		name string
-		env  *Envelope
-	}{
-		{"genesis-walSeq-0", &Envelope{FormatVersion: SnapshotFormatVersion, Algorithm: "RHC(w=2)",
-			Rows: [][][]float64{}, Controller: small}},
-		{"walSeq", &Envelope{FormatVersion: SnapshotFormatVersion, Algorithm: "RHC(w=2)", Slot: 1, Ingested: 9,
-			WalSeq: 41, Rows: [][][]float64{{{0, 1.5}}}, Controller: small}},
-		{"rows-key-in-algorithm", &Envelope{FormatVersion: SnapshotFormatVersion, Algorithm: `x,"rows":[1],\"q"`,
-			Slot: 1, WalSeq: 3, Rows: [][][]float64{{{2}}}, Controller: small}},
-		{"nil-rows", &Envelope{FormatVersion: SnapshotFormatVersion, Algorithm: "RHC(w=2)", Controller: small}},
-		{"mid-horizon-chc", mid},
+func (f *filler) float() float64 {
+	f.next++
+	switch f.next % 5 {
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.SmallestNonzeroFloat64
+	case 3:
+		return math.MaxFloat64
 	}
-	zero := &Envelope{FormatVersion: SnapshotFormatVersion, Slot: 1, WalSeq: 5,
-		Rows: [][][]float64{{{1}}}, Controller: small}
-	zero.Algorithm = zeroChecksumAlgorithm(t, zero)
-	cases = append(cases, struct {
-		name string
-		env  *Envelope
-	}{"checksum-0", zero})
+	return float64(f.next) / 7
+}
 
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			before := *tc.env
-			got, err := encodeSnapshot(tc.env)
-			if err != nil {
-				t.Fatal(err)
+func (f *filler) fill(v reflect.Value, field bool) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		f.next++
+		v.SetInt(int64(f.next))
+	case reflect.Uint32, reflect.Uint64:
+		f.next++
+		v.SetUint(uint64(f.next))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		f.next++
+		v.SetString(fmt.Sprintf("s%d", f.next))
+	case reflect.Float64:
+		v.SetFloat(f.float())
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		f.fill(v.Elem(), false)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				f.fill(v.Field(i), true)
 			}
-			if !reflect.DeepEqual(before, *tc.env) {
-				t.Fatal("encodeSnapshot mutated its input")
+		}
+	case reflect.Slice:
+		structs := v.Type().Elem().Kind() == reflect.Struct
+		if field && !structs && f.mode != "filled" {
+			if f.mode == "empty" {
+				v.Set(reflect.MakeSlice(v.Type(), 0, 0))
 			}
-			want, sum := twoMarshalEncode(t, tc.env)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("encoding differs from the two-marshal reference:\n got %.200s\nwant %.200s", got, want)
+			return
+		}
+		s := reflect.MakeSlice(v.Type(), 3, 3)
+		for i := 0; i < s.Len(); i++ {
+			switch {
+			case s.Index(i).Kind() == reflect.Slice && i == 0:
+			case s.Index(i).Kind() == reflect.Slice && i == 1:
+				s.Index(i).Set(reflect.MakeSlice(v.Type().Elem(), 0, 0))
+			default:
+				f.fill(s.Index(i), false)
 			}
-			env, err := decodeSnapshot(got)
+		}
+		v.Set(s)
+	case reflect.Map:
+		if field && f.mode != "filled" {
+			if f.mode == "empty" {
+				v.Set(reflect.MakeMap(v.Type()))
+			}
+			return
+		}
+		m := reflect.MakeMap(v.Type())
+		for i := 0; i < 4; i++ {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			f.fill(k, false)
+			f.fill(e, false)
+			m.SetMapIndex(k, e)
+		}
+		v.Set(m)
+	default:
+		f.t.Fatalf("filler: no rule for %s; extend the filler and the codec", v.Type())
+	}
+}
+
+// filledEnvelope returns an envelope whose every field the filler set,
+// under the current format version.
+func filledEnvelope(t *testing.T, mode string) *Envelope {
+	env := &Envelope{}
+	(&filler{t: t, mode: mode}).fill(reflect.ValueOf(env).Elem(), false)
+	env.FormatVersion = SnapshotFormatVersion
+	return env
+}
+
+// TestSnapshotCodecRoundTrip pins the v3 generation codec. For envelopes
+// with every field of Envelope, StreamSnapshot, VersionSnapshot and
+// VersionStats set (filled, nil and empty variants) and for a real
+// mid-horizon CHC envelope: encoding leaves its input untouched,
+// decoding returns the input with the stored checksum filled in, and
+// re-encoding the decoded envelope — map iteration order varying
+// between runs, appended behind a prefix into a reused buffer — gives
+// the same bytes. A field added to one of the four
+// types without codec support fails here.
+func TestSnapshotCodecRoundTrip(t *testing.T) {
+	small := func(env Envelope) func(*testing.T) *Envelope {
+		return func(*testing.T) *Envelope {
+			e := env
+			e.FormatVersion = SnapshotFormatVersion
+			e.Algorithm = "RHC(w=2)"
+			e.Controller = &online.StreamSnapshot{Algorithm: "RHC(w=2)", Slot: 1}
+			return &e
+		}
+	}
+	cases := map[string]func(*testing.T) *Envelope{
+		"filled":           func(t *testing.T) *Envelope { return filledEnvelope(t, "filled") },
+		"nil-fields":       func(t *testing.T) *Envelope { return filledEnvelope(t, "nil") },
+		"empty-fields":     func(t *testing.T) *Envelope { return filledEnvelope(t, "empty") },
+		"genesis-walSeq-0": small(Envelope{Rows: [][][]float64{}}),
+		"walSeq":           small(Envelope{Slot: 1, Ingested: 9, WalSeq: 41, Rows: [][][]float64{{{0, 1.5}}}}),
+		"nil-rows":         small(Envelope{}),
+		"mid-horizon-chc":  midHorizonEnvelope,
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			in, want := build(t), build(t)
+			if name == "filled" && len(in.Controller.FaultBudgets) < 3 {
+				t.Fatal("filled envelope carries fewer than 3 fault budgets")
+			}
+			data := appendSnapshot(nil, in)
+			if !reflect.DeepEqual(in, want) {
+				t.Fatal("appendSnapshot mutated its input")
+			}
+			got, err := decodeSnapshot(data)
 			if err != nil {
 				t.Fatalf("decode own encoding: %v", err)
 			}
-			before.Checksum = sum
-			if !reflect.DeepEqual(&before, env) {
+			want.Checksum = binary.LittleEndian.Uint32(data[len(data)-4:])
+			if !reflect.DeepEqual(want, got) {
 				t.Fatal("decoded envelope differs from the encoded one")
+			}
+			buf := []byte("prefix")
+			for i := 0; i < 8; i++ {
+				buf = appendSnapshot(buf[:6], got)
+				if !bytes.Equal(buf[6:], data) {
+					t.Fatalf("re-encoding %d differs from the first encoding", i)
+				}
 			}
 		})
 	}
+}
+
+// TestDecodeSnapshotRejectsDamagedV3 checks that every strict prefix and
+// every single-bit flip of a v3 generation fails to decode, and that a
+// length field claiming more than the bytes left fails even under a
+// valid checksum.
+func TestDecodeSnapshotRejectsDamagedV3(t *testing.T) {
+	data := appendSnapshot(nil, filledEnvelope(t, "filled"))
+	for n := 0; n < len(data); n++ {
+		if _, err := decodeSnapshot(data[:n]); err == nil {
+			t.Fatalf("prefix of %d of %d bytes decoded", n, len(data))
+		}
+	}
+	flipped := append([]byte(nil), data...)
+	for i := range flipped {
+		for bit := 0; bit < 8; bit++ {
+			flipped[i] ^= 1 << bit
+			if _, err := decodeSnapshot(flipped); err == nil {
+				t.Fatalf("flip of bit %d in byte %d decoded", bit, i)
+			}
+			flipped[i] ^= 1 << bit
+		}
+	}
+	for _, body := range oversizedLengthBodies() {
+		if _, err := decodeSnapshot(withCRC(body)); err == nil {
+			t.Fatalf("oversized length field decoded: % x", body)
+		}
+	}
+}
+
+// withCRC appends the v3 CRC32C trailer to a generation body.
+func withCRC(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, castagnoli))
+}
+
+// oversizedLengthBodies returns v3 generation bodies whose Algorithm
+// string or Rows slice length exceeds the bytes that follow it.
+func oversizedLengthBodies() [][]byte {
+	head := binary.AppendVarint(append([]byte(nil), genMagic...), SnapshotFormatVersion)
+	str := binary.AppendUvarint(append([]byte(nil), head...), 1<<40)
+	rows := append(append([]byte(nil), head...), 0, 0, 0, 0) // "", slot, ingested, walSeq
+	rows = binary.AppendUvarint(rows, 1<<40)
+	return [][]byte{append(str, 'x'), append(rows, 0, 0)}
 }
 
 // TestDecodeSnapshotRejectsNormalisedMutations pins that the checksum

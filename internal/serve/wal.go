@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"time"
@@ -65,72 +62,12 @@ const (
 
 // walRecord is one framed WAL entry. Seq is globally monotonic across
 // segment rotations, starting at 1; recovery rejects duplicates, gaps
-// and reordering.
+// and reordering. The JSON tags are the read-only version-2 payload.
 type walRecord struct {
 	Seq  uint64    `json:"seq"`
 	Kind string    `json:"kind"`
 	Slot int       `json:"slot"`
 	Reqs []Request `json:"reqs,omitempty"`
-}
-
-// maxWALRecord caps one record's payload. Anything claiming to be
-// larger is garbage (a torn or corrupt length header) — the cap keeps a
-// hostile length field from allocating unbounded memory during replay
-// and fuzzing.
-const maxWALRecord = 1 << 24
-
-// walFrameHeader is the fixed frame prefix: uint32 LE payload length,
-// uint32 LE CRC32C of the payload.
-const walFrameHeader = 8
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// encodeWALFrame frames a record: length, CRC32C, JSON payload.
-func encodeWALFrame(rec walRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("serve: marshal wal record: %w", err)
-	}
-	if len(payload) > maxWALRecord {
-		return nil, fmt.Errorf("serve: wal record of %d bytes exceeds the %d cap", len(payload), maxWALRecord)
-	}
-	frame := make([]byte, walFrameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[walFrameHeader:], payload)
-	return frame, nil
-}
-
-// decodeWALBuffer walks frames from the start of data and returns every
-// record up to the first bad frame, plus the byte offset where the good
-// prefix ends. It never returns an error and never panics: a truncated
-// header, an absurd length, a CRC mismatch or unparsable JSON all just
-// terminate the walk — that is the torn-tail tolerance the append-only
-// write path guarantees is safe (frames are written strictly in order,
-// so damage can only be a suffix; recovery decides whether a short
-// prefix is tolerable).
-func decodeWALBuffer(data []byte) (recs []walRecord, goodLen int) {
-	off := 0
-	for {
-		if len(data)-off < walFrameHeader {
-			return recs, off
-		}
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		if n == 0 || n > maxWALRecord || n > len(data)-off-walFrameHeader {
-			return recs, off
-		}
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		payload := data[off+walFrameHeader : off+walFrameHeader+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return recs, off
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, off
-		}
-		recs = append(recs, rec)
-		off += walFrameHeader + n
-	}
 }
 
 // readWALSegment reads and decodes one segment file. torn reports
@@ -154,6 +91,7 @@ type wal struct {
 	interval time.Duration
 	lastSync time.Time
 	faults   *fault.DiskFaults
+	frame    []byte // reused encode buffer
 }
 
 // openWALSegment opens (creating if absent) a segment for appending.
@@ -197,10 +135,11 @@ func openWALSegment(path string, goodLen int64, policy FsyncPolicy, interval tim
 // then fires the simulated crash — from that point the in-memory
 // controller state must be discarded, exactly as after SIGKILL.
 func (w *wal) append(rec walRecord, force bool) error {
-	frame, err := encodeWALFrame(rec)
+	frame, err := appendWALFrame(w.frame[:0], rec)
 	if err != nil {
 		return err
 	}
+	w.frame = frame
 	if keep, tear := w.faults.WALTear(len(frame)); tear {
 		if keep > 0 {
 			_, _ = w.f.Write(frame[:keep])

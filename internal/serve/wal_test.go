@@ -2,6 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,19 +14,43 @@ import (
 	"edgecache/internal/fault"
 )
 
+// jsonWALFrame frames rec the way version-2 builds wrote it: a JSON
+// payload under the same length + CRC32C header.
+func jsonWALFrame(t testing.TB, rec walRecord) []byte {
+	t.Helper()
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, walFrameHeader, walFrameHeader+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	return append(frame, payload...)
+}
+
 // TestWALFrameRoundTrip pins the frame format: length+CRC32C header,
-// JSON payload, decoded records identical to what was appended.
+// binary payload behind its tag byte, decoded records identical to what
+// was appended, also when version-2 JSON frames precede them in the
+// same buffer.
 func TestWALFrameRoundTrip(t *testing.T) {
 	recs := []walRecord{
 		{Seq: 1, Kind: walKindReports, Slot: 0, Reqs: []Request{{SBS: 0, Class: 1, Content: 2, Count: 2.5}}},
-		{Seq: 2, Kind: walKindReports, Slot: 0, Reqs: []Request{{SBS: 1}}},
-		{Seq: 3, Kind: walKindClose, Slot: 0},
+		{Seq: 2, Kind: walKindClose, Slot: 0},
+		{Seq: 3, Kind: walKindReports, Slot: 1, Reqs: []Request{{SBS: 1}, {SBS: 2, Class: 300, Content: 70000, Count: math.MaxFloat64}}},
+		{Seq: 4, Kind: walKindReports, Slot: 1, Reqs: []Request{{SBS: 1, Count: math.SmallestNonzeroFloat64}}},
+		{Seq: 5, Kind: walKindClose, Slot: 1},
 	}
 	var buf bytes.Buffer
-	for _, r := range recs {
-		frame, err := encodeWALFrame(r)
+	for _, r := range recs[:2] {
+		buf.Write(jsonWALFrame(t, r))
+	}
+	for _, r := range recs[2:] {
+		frame, err := appendWALFrame(nil, r)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if frame[walFrameHeader] != walTagV3 {
+			t.Fatalf("payload opens with %#x, want the v3 tag", frame[walFrameHeader])
 		}
 		buf.Write(frame)
 	}
@@ -39,7 +67,7 @@ func TestWALFrameRoundTrip(t *testing.T) {
 // half-written suffix terminates the walk at the last good frame without
 // error, and corruption inside a frame is caught by the CRC.
 func TestWALDecodeTornTail(t *testing.T) {
-	good, err := encodeWALFrame(walRecord{Seq: 1, Kind: walKindClose, Slot: 0})
+	good, err := appendWALFrame(nil, walRecord{Seq: 1, Kind: walKindClose, Slot: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +114,7 @@ func TestWALSegmentAppendTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear the file: half of a second record.
-	frame, err := encodeWALFrame(walRecord{Seq: 2, Kind: walKindClose, Slot: 1})
+	frame, err := appendWALFrame(nil, walRecord{Seq: 2, Kind: walKindClose, Slot: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
