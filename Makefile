@@ -48,7 +48,7 @@ staticcheck:
 	fi
 
 # Everything .github/workflows/ci.yml checks, locally.
-ci: build vet fmt-check test perfbench-check race chaos serve-smoke chaos-live chaos-crash staticcheck bench bench-diff trace-demo
+ci: build vet fmt-check test perfbench-check race audit chaos serve-smoke chaos-live chaos-crash staticcheck bench bench-diff trace-demo
 
 # Benchmark run recorded as JSON (see cmd/bench and DESIGN.md §8). CI uses
 # the short BENCHTIME as a smoke pass; for tracked numbers use the default
@@ -126,7 +126,7 @@ chaos:
 
 # Service smoke: boot jocserve with a mock clock, replay a deterministic
 # request trace over real HTTP, kill and restore the service from its
-# snapshot at mid-horizon, and require the final trajectory to match a
+# state dir at mid-horizon, and require the final trajectory to match a
 # golden batch replay bit for bit (DESIGN.md §13).
 serve-smoke:
 	$(GO) run ./cmd/jocserve -smoke -T 16 -K 10 -classes 6 -sbs 2 -C 3 -B 10 \

@@ -4,8 +4,8 @@
 // is published at /v1/plan. With -state-dir the service is crash-safe:
 // acknowledged reports go through a CRC-framed fsynced WAL and slot
 // closes publish checksummed snapshot generations, so kill -9 at any
-// byte — including mid-write — recovers to the identical state. The
-// legacy -snapshot mode persists one atomic snapshot per slot.
+// byte — including mid-write — recovers to the identical state. Without
+// it the service keeps its state in memory only.
 //
 // Usage:
 //
@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,7 +83,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		window    = fs.Int("w", 10, "prediction window")
 		commit    = fs.Int("r", 5, "CHC commitment level")
 		slotDur   = fs.Duration("slot", 0, "wall-clock slot length (0 = advance via POST /v1/tick)")
-		snapshot  = fs.String("snapshot", "", "snapshot file; written after every slot, restored on start")
 		stateDir  = fs.String("state-dir", "", "durable state directory (report WAL + snapshot generations); full crash recovery on start")
 		walFsync  = fs.String("wal-fsync", "always", "WAL fsync policy: always, interval or off")
 		snapKeep  = fs.Int("snap-keep", 0, "snapshot generations to retain (0 = 3, minimum 2)")
@@ -167,7 +167,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Online:         cfg,
 		EstimatorAlpha: *alpha,
 		EstimatorFloor: *floor,
-		SnapshotPath:   *snapshot,
 		StateDir:       *stateDir,
 		WALFsync:       fsyncPol,
 		SnapKeep:       *snapKeep,
@@ -250,9 +249,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *slotDur > 0 {
 		fmt.Fprintf(out, ", ticking every %s", *slotDur)
 	}
-	if *snapshot != "" {
-		fmt.Fprintf(out, ", snapshotting to %s", *snapshot)
-	}
 	if *stateDir != "" {
 		fmt.Fprintf(out, ", durable state in %s", *stateDir)
 	}
@@ -333,26 +329,24 @@ func (c *smokeClient) post(path string, body, out any) error {
 }
 
 // runSmoke is the -smoke self-test: replay a deterministic request trace
-// against a live service over real HTTP — ticker on a mock clock — kill
-// the service at mid-horizon, restore it from the snapshot on disk, and
-// compare the final committed trajectory against a golden batch replay
-// over the same empirical demand. Exits non-zero on any divergence.
+// against a live service over real HTTP — ticker on a mock clock — stop
+// the service at mid-horizon, restore it from its state dir (WAL replay
+// over the newest snapshot generation), and compare the final committed
+// trajectory against a golden batch replay over the same empirical
+// demand. Without -state-dir the state lives in a temporary directory
+// removed on return. Exits non-zero on any divergence.
 func runSmoke(ctx context.Context, out io.Writer, eff *model.Instance, scfg serve.Config, seed uint64) error {
-	if scfg.SnapshotPath == "" && scfg.StateDir == "" {
+	if scfg.StateDir == "" {
 		dir, err := os.MkdirTemp("", "jocserve-smoke-*")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		scfg.SnapshotPath = filepath.Join(dir, "snapshot.json")
-	}
-	persist := scfg.SnapshotPath
-	if persist == "" {
-		persist = scfg.StateDir + string(filepath.Separator)
+		scfg.StateDir = dir
 	}
 	tr := trace.Generate(eff.Demand, seed)
-	fmt.Fprintf(out, "smoke: %s over T=%d N=%d K=%d, %d requests, state %s\n",
-		scfg.Online.Name(), eff.T, eff.N, eff.K, tr.Len(), persist)
+	fmt.Fprintf(out, "smoke: %s over T=%d N=%d K=%d, %d requests, state dir %s\n",
+		scfg.Online.Name(), eff.T, eff.N, eff.K, tr.Len(), scfg.StateDir)
 
 	const period = time.Second // mock time; never actually elapses
 	boot := func() (*serve.Controller, *serve.Server, *serve.MockClock, *smokeClient, error) {
@@ -371,19 +365,19 @@ func runSmoke(ctx context.Context, out io.Writer, eff *model.Instance, scfg serv
 		cl := &smokeClient{base: "http://" + srv.Addr(), hc: &http.Client{Timeout: 30 * time.Second}}
 		return ctrl, srv, clock, cl, nil
 	}
-	shutdown := func(srv *serve.Server) error {
+	shutdown := func(srv *serve.Server, ctrl *serve.Controller) error {
 		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		return srv.Shutdown(sctx)
+		return errors.Join(srv.Shutdown(sctx), ctrl.Close())
 	}
 
 	ctrl, srv, clock, cl, err := boot()
 	if err != nil {
 		return err
 	}
-	closeSlot := func(slot int) error {
-		// Feed the slot's trace over HTTP, then advance the mock clock one
-		// period and wait for the ticker goroutine to close the slot.
+	// book feeds a slot's trace over HTTP; tick advances the mock clock
+	// one period and waits for the ticker goroutine to close the slot.
+	book := func(slot int) error {
 		var batch []serve.Request
 		for n := 0; n < tr.N(); n++ {
 			for _, r := range tr.Slot(slot, n) {
@@ -404,6 +398,9 @@ func runSmoke(ctx context.Context, out io.Writer, eff *model.Instance, scfg serv
 		if ack.Slot != slot || ack.Accepted != len(batch) {
 			return fmt.Errorf("slot %d: ingest ack %+v for %d requests", slot, ack, len(batch))
 		}
+		return nil
+	}
+	tick := func(slot int) error {
 		clock.Advance(period)
 		deadline := time.Now().Add(60 * time.Second)
 		for {
@@ -423,26 +420,42 @@ func runSmoke(ctx context.Context, out io.Writer, eff *model.Instance, scfg serv
 
 	killAt := eff.T / 2
 	for slot := 0; slot < killAt; slot++ {
-		if err := closeSlot(slot); err != nil {
+		if err := book(slot); err != nil {
+			return err
+		}
+		if err := tick(slot); err != nil {
 			return err
 		}
 	}
-
-	// Kill: shut the service down, drop the controller, and bring a fresh
-	// process-equivalent up from the snapshot on disk.
-	if err := shutdown(srv); err != nil {
+	// The kill slot's reports are booked before the kill, so they exist
+	// only in the WAL past the newest generation: the restore must replay
+	// them.
+	if err := book(killAt); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "smoke: killed at slot %d, restoring from snapshot\n", killAt)
+	acked := ctrl.Stats().Ingested
+
+	// Kill: shut the service down, close the controller, and bring a fresh
+	// process-equivalent up from the state dir.
+	if err := shutdown(srv, ctrl); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "smoke: killed at slot %d, restoring from state dir\n", killAt)
 	ctrl, srv, clock, cl, err = boot()
 	if err != nil {
 		return fmt.Errorf("restore: %w", err)
 	}
-	if got := ctrl.Stats().Slot; got != killAt {
-		return fmt.Errorf("restored service opens slot %d, want %d", got, killAt)
+	if st := ctrl.Stats(); st.Slot != killAt || st.Ingested != acked {
+		return fmt.Errorf("restored service opens slot %d with %d reports, want slot %d with %d", st.Slot, st.Ingested, killAt, acked)
 	}
-	for slot := killAt; slot < eff.T; slot++ {
-		if err := closeSlot(slot); err != nil {
+	if err := tick(killAt); err != nil {
+		return err
+	}
+	for slot := killAt + 1; slot < eff.T; slot++ {
+		if err := book(slot); err != nil {
+			return err
+		}
+		if err := tick(slot); err != nil {
 			return err
 		}
 	}
@@ -454,7 +467,7 @@ func runSmoke(ctx context.Context, out io.Writer, eff *model.Instance, scfg serv
 	if err := cl.get("/v1/stats", &stats); err != nil {
 		return err
 	}
-	if err := shutdown(srv); err != nil {
+	if err := shutdown(srv, ctrl); err != nil {
 		return err
 	}
 

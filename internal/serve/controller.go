@@ -58,18 +58,13 @@ type Config struct {
 	// EstimatorFloor is the clamped-decay floor (< 0 selects
 	// workload.DefaultEstimatorFloor; 0 disables).
 	EstimatorFloor float64
-	// SnapshotPath, when non-empty, persists a snapshot envelope there
-	// (atomic rename) after every closed slot; Open restores from it.
-	// Legacy single-file mode: open-slot reports are not durable.
-	// Mutually exclusive with StateDir.
-	SnapshotPath string
-	// StateDir, when non-empty, enables the crash-safe durability layer
+	// StateDir is where Open keeps the crash-safe durable store
 	// (DESIGN.md §14): every acknowledged Ingest batch is written to an
 	// append-only WAL before the acknowledgement, snapshots are kept as
 	// checksummed generations rotated at slot close, and Open recovers
 	// from the newest verifiable generation plus an idempotent WAL
-	// replay — extending restart equivalence from "kill at slot
-	// boundaries" to "kill -9 at any byte".
+	// replay, so a kill -9 at any byte restarts into the identical
+	// state. Empty keeps the controller in memory: Open is New.
 	StateDir string
 	// WALFsync is the WAL flush policy ("" selects FsyncAlways).
 	WALFsync FsyncPolicy
@@ -119,22 +114,23 @@ type Controller struct {
 	pending [][]float64 // [n][m*K+k] accumulated counts for the open slot
 	total   int64       // requests ingested over the controller's lifetime
 
-	// Durability state (StateDir mode).
-	wal            *wal
-	walErr         error  // sticky: any WAL write failure poisons the controller
-	lastSeq        uint64 // last appended WAL sequence number
-	genBuf         []byte // generation encode buffer, reused across publishes
-	walSeqClosed   uint64 // sequence of the last close marker (envelope watermark)
-	ingestedClosed int64  // total at that close (envelope Ingested)
-	openReports    int64  // report entries booked into the open slot
+	ingestedClosed int64 // total at the last slot close (envelope Ingested)
+	openReports    int64 // report entries booked into the open slot
 	closed         bool
+
+	// Durability state (StateDir mode).
+	wal          *wal
+	walErr       error  // sticky: any WAL write failure poisons the controller
+	lastSeq      uint64 // last appended WAL sequence number
+	genBuf       []byte // generation encode buffer, reused across publishes
+	walSeqClosed uint64 // sequence of the last close marker (envelope watermark)
 }
 
 // New starts a fresh controller over the topology of base (its demand
 // tensor is replaced by an empty realised tensor — a live controller has
 // no future to peek at). The start-up windows are solved immediately, so
 // the slot-0 plan is published on return. New never touches disk; use
-// Open for the persistent modes.
+// Open for a restartable controller.
 func New(ctx context.Context, base *model.Instance, cfg Config) (*Controller, error) {
 	c, f, err := prepare(base, cfg)
 	if err != nil {
@@ -147,34 +143,22 @@ func New(ctx context.Context, base *model.Instance, cfg Config) (*Controller, er
 	return c, nil
 }
 
-// Open restores the controller from persistent state when any exists and
-// starts fresh otherwise — so a killed-and-restarted service re-runs the
-// same command line and continues where it stopped. With StateDir set
-// this is full crash recovery: newest verifiable snapshot generation
+// Open restores the controller from the durable store in StateDir when it
+// holds any state and starts fresh otherwise — so a killed-and-restarted
+// service re-runs the same command line and continues where it stopped.
+// Recovery is full crash recovery: newest verifiable snapshot generation
 // (falling back past torn or bit-flipped ones), idempotent WAL replay
 // beyond its watermark, torn-tail truncation, and a repair snapshot when
-// the newest generation was missing or damaged.
+// the newest generation was missing or damaged. Without StateDir, Open
+// is New.
 func Open(ctx context.Context, base *model.Instance, cfg Config) (*Controller, error) {
-	if cfg.StateDir != "" {
-		if cfg.SnapshotPath != "" {
-			return nil, fmt.Errorf("serve: Config.StateDir and Config.SnapshotPath are mutually exclusive")
-		}
-		return openDurable(ctx, base, cfg)
-	}
-	if cfg.SnapshotPath == "" {
+	if cfg.StateDir == "" {
 		return New(ctx, base, cfg)
 	}
-	env, err := LoadSnapshot(cfg.SnapshotPath)
-	if err != nil {
-		return nil, err
-	}
-	if env == nil {
-		return New(ctx, base, cfg)
-	}
-	return Restore(ctx, base, cfg, env)
+	return openDurable(ctx, base, cfg)
 }
 
-// openDurable is Open's StateDir path: plan recovery from disk, rebuild
+// openDurable is Open's recovery path: plan recovery from disk, rebuild
 // the in-memory controller, replay the WAL, reopen it for appending, and
 // repair the generation chain if the newest one was lost.
 func openDurable(ctx context.Context, base *model.Instance, cfg Config) (*Controller, error) {
@@ -189,15 +173,11 @@ func openDurable(ctx context.Context, base *model.Instance, cfg Config) (*Contro
 	if rs.env == nil {
 		c, err = New(ctx, base, cfg)
 	} else {
-		c, err = Restore(ctx, base, cfg, rs.env)
+		c, err = restore(ctx, base, cfg, rs.env)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if rs.env != nil {
-		c.walSeqClosed = rs.env.WalSeq
-	}
-	c.ingestedClosed = c.total
 
 	// Idempotent replay: every record past the watermark, in sequence.
 	// Reports re-validate (they were validated before their WAL append,
@@ -221,7 +201,6 @@ func openDurable(ctx context.Context, base *model.Instance, cfg Config) (*Contro
 				return nil, fmt.Errorf("serve: replay close of slot %d: %w", rec.Slot, err)
 			}
 			c.walSeqClosed = rec.Seq
-			c.ingestedClosed = c.total
 		default:
 			return nil, fmt.Errorf("serve: wal record %d has unknown kind %q", rec.Seq, rec.Kind)
 		}
@@ -257,12 +236,13 @@ func openDurable(ctx context.Context, base *model.Instance, cfg Config) (*Contro
 	return c, nil
 }
 
-// Restore reconstructs a controller from a snapshot envelope taken under
+// restore reconstructs a controller from a snapshot envelope taken under
 // the same topology and configuration: the realised rows are replayed
 // into a fresh tensor and the stream state restored, after which the
-// controller is indistinguishable from one that was never stopped
-// (online.RestoreStream's restart-equivalence contract).
-func Restore(ctx context.Context, base *model.Instance, cfg Config, env *Envelope) (*Controller, error) {
+// controller is indistinguishable from one that was never stopped at
+// that slot boundary (online.RestoreStream's restart-equivalence
+// contract).
+func restore(ctx context.Context, base *model.Instance, cfg Config, env *Envelope) (*Controller, error) {
 	c, f, err := prepare(base, cfg)
 	if err != nil {
 		return nil, err
@@ -287,6 +267,8 @@ func Restore(ctx context.Context, base *model.Instance, cfg Config, env *Envelop
 		}
 	}
 	c.total = env.Ingested
+	c.ingestedClosed = env.Ingested
+	c.walSeqClosed = env.WalSeq
 	c.stream, err = online.RestoreStream(ctx, c.in, f, cfg.Online, env.Controller)
 	if err != nil {
 		return nil, err
@@ -295,7 +277,7 @@ func Restore(ctx context.Context, base *model.Instance, cfg Config, env *Envelop
 }
 
 // prepare builds the live instance, tensor and forecaster shared by New
-// and Restore.
+// and restore.
 func prepare(base *model.Instance, cfg Config) (*Controller, workload.Forecaster, error) {
 	if err := base.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("serve: %w", err)
@@ -410,8 +392,10 @@ func (c *Controller) closeSlotLocked(ctx context.Context) (model.SlotDecision, e
 	dec, err := c.stream.CloseSlot(ctx)
 	if err == nil {
 		// The slot is closed in every mode — backpressure lifts here, not
-		// in Tick's persistence tail.
+		// in Tick's persistence tail — and its reports become part of the
+		// boundary an envelope describes.
 		c.openReports = 0
+		c.ingestedClosed = c.total
 	}
 	return dec, err
 }
@@ -465,7 +449,6 @@ func (c *Controller) Tick(ctx context.Context) (*TickResult, error) {
 		}
 		c.lastSeq++
 		c.walSeqClosed = c.lastSeq
-		c.ingestedClosed = c.total
 		if err := c.saveAndRotateLocked(); err != nil {
 			if errors.Is(err, fault.ErrCrash) {
 				c.walErr = err
@@ -473,10 +456,6 @@ func (c *Controller) Tick(ctx context.Context) (*TickResult, error) {
 			// A failed generation save (other than an injected crash) is
 			// not fatal: the close marker is durable, so recovery from an
 			// older generation replays it. The next Tick retries the save.
-			return nil, err
-		}
-	} else if c.cfg.SnapshotPath != "" {
-		if err := SaveSnapshot(c.cfg.SnapshotPath, c.envelopeLocked()); err != nil {
 			return nil, err
 		}
 	}
@@ -509,10 +488,9 @@ func (c *Controller) saveAndRotateLocked() error {
 }
 
 // envelopeLocked assembles the persistence envelope; c.mu must be held.
-// An envelope always describes the last slot boundary: in StateDir mode
-// Ingested and WalSeq come from the boundary bookkeeping so open-slot
-// reports (which live in the WAL, not the envelope) are never counted as
-// covered.
+// An envelope always describes the last slot boundary: Ingested and
+// WalSeq come from the boundary bookkeeping so open-slot reports (which
+// live in the WAL, not the envelope) are never counted as covered.
 func (c *Controller) envelopeLocked() *Envelope {
 	slot := c.stream.Slot()
 	rows := make([][][]float64, slot)
@@ -522,19 +500,15 @@ func (c *Controller) envelopeLocked() *Envelope {
 			rows[t][n] = c.live.CopySlot(nil, t, n)
 		}
 	}
-	env := &Envelope{
+	return &Envelope{
 		FormatVersion: SnapshotFormatVersion,
 		Algorithm:     c.cfg.Online.Name(),
 		Slot:          slot,
-		Ingested:      c.total,
+		Ingested:      c.ingestedClosed,
+		WalSeq:        c.walSeqClosed,
 		Rows:          rows,
 		Controller:    c.stream.Snapshot(),
 	}
-	if c.cfg.StateDir != "" {
-		env.Ingested = c.ingestedClosed
-		env.WalSeq = c.walSeqClosed
-	}
-	return env
 }
 
 // Snapshot returns the controller's persistence envelope (deep copy).

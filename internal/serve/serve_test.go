@@ -123,8 +123,8 @@ func TestControllerGoldenReplay(t *testing.T) {
 }
 
 // TestControllerRestartEquivalence is the service-level differential
-// restart test: a controller persisting snapshots to disk, killed after
-// a tick and reopened from the same command line (Open), must finish
+// restart test: a controller persisting to a state dir, killed after a
+// tick and reopened from the same command line (Open), must finish
 // with a result DeepEqual to an uninterrupted controller's — including
 // under a fault schedule with one solver fault consumed before the kill
 // and one firing after the restore.
@@ -165,13 +165,14 @@ func TestControllerRestartEquivalence(t *testing.T) {
 			cfg := Config{
 				Online:         ocfg,
 				EstimatorFloor: -1,
-				SnapshotPath:   filepath.Join(t.TempDir(), "jocserve.snapshot.json"),
+				StateDir:       t.TempDir(),
 				Faults:         tc.sched,
 			}
 			killed, err := Open(ctx, base, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer killed.Close()
 			for killed.Stats().Slot < killAt {
 				ingestSlot(t, killed, tr, killed.Stats().Slot)
 				if _, err := killed.Tick(ctx); err != nil {
@@ -179,11 +180,12 @@ func TestControllerRestartEquivalence(t *testing.T) {
 				}
 			}
 			// The killed controller is dropped here; Open with the same
-			// configuration must resume from the snapshot on disk.
+			// configuration must resume from the state dir.
 			restored, err := Open(ctx, base, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer restored.Close()
 			if got := restored.Stats().Slot; got != killAt {
 				t.Fatalf("restored controller opens slot %d, want %d", got, killAt)
 			}
@@ -205,27 +207,66 @@ func TestControllerRestartEquivalence(t *testing.T) {
 	}
 }
 
-// TestOpenStartsFreshWithoutSnapshot checks Open's fresh-start path: no
-// file at SnapshotPath means a new controller at slot 0.
+// TestOpenStartsFreshWithoutSnapshot checks Open's fresh-start path: an
+// empty state dir means a new controller at slot 0.
 func TestOpenStartsFreshWithoutSnapshot(t *testing.T) {
 	base := testInstance(t)
 	cfg := Config{
 		Online:         online.RHC(4),
 		EstimatorFloor: -1,
-		SnapshotPath:   filepath.Join(t.TempDir(), "absent.json"),
+		StateDir:       t.TempDir(),
 	}
 	c, err := Open(context.Background(), base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if got := c.Stats().Slot; got != 0 {
 		t.Fatalf("fresh Open starts at slot %d", got)
 	}
 }
 
+// TestEnvelopeExcludesOpenSlotReports pins the Envelope invariant for a
+// controller without a StateDir: Ingested counts exactly the reports
+// folded into Rows, so reports booked into the open slot are neither in
+// the envelope nor counted by a controller restored from it.
+func TestEnvelopeExcludesOpenSlotReports(t *testing.T) {
+	ctx := context.Background()
+	base := testInstance(t)
+	cfg := Config{Online: online.RHC(4), EstimatorFloor: -1}
+	c, err := New(ctx, base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest([]Request{{SBS: 0, Class: 1, Content: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest([]Request{{SBS: 0, Class: 0, Content: 1}, {SBS: 0, Class: 2, Content: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	env := c.Snapshot()
+	if env.Slot != 1 || len(env.Rows) != 1 || env.Ingested != 1 {
+		t.Fatalf("envelope at slot %d with %d rows counts %d reports, want slot 1, 1 row, 1 report",
+			env.Slot, len(env.Rows), env.Ingested)
+	}
+	if got := c.Stats().Ingested; got != 3 {
+		t.Fatalf("live controller counts %d reports, want 3", got)
+	}
+	restored, err := restore(ctx, base, cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Stats().Ingested; got != 1 {
+		t.Fatalf("restored controller counts %d reports, want the envelope's 1", got)
+	}
+}
+
 // TestSnapshotFormatGuards checks the on-disk format gate: a foreign
 // format version and a missing controller block are rejected; a missing
-// file is the nil fresh-start signal.
+// file loads as (nil, nil).
 func TestSnapshotFormatGuards(t *testing.T) {
 	dir := t.TempDir()
 	if env, err := LoadSnapshot(filepath.Join(dir, "missing.json")); env != nil || err != nil {

@@ -28,8 +28,8 @@ type Envelope struct {
 	Ingested int64 `json:"ingested"`
 	// WalSeq is the durability watermark: the sequence number of the last
 	// WAL close marker whose effects this envelope captures. Recovery
-	// replays records with Seq > WalSeq. Zero in legacy single-file mode
-	// and at genesis.
+	// replays records with Seq > WalSeq. Zero at genesis and for a
+	// controller without a StateDir.
 	WalSeq uint64 `json:"walSeq,omitempty"`
 	// Checksum is the CRC32C a decoded generation stored: in a binary
 	// generation the trailer over every preceding byte, in a version-2
@@ -53,8 +53,8 @@ func SaveSnapshot(path string, env *Envelope) error {
 }
 
 // LoadSnapshot reads an envelope from path. A missing file returns
-// (nil, nil) — the fresh-start case of Open; anything else that fails to
-// parse, verify, or that carries a foreign format version is an error.
+// (nil, nil); anything else that fails to parse, verify, or that
+// carries a foreign format version is an error.
 func LoadSnapshot(path string) (*Envelope, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
