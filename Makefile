@@ -95,14 +95,16 @@ cover:
 
 # Short fuzzing bursts over the numerical substrates, the differential
 # solver cross-checks (solvers vs the exact oracle and the trajectory
-# auditor) and the durable store's snapshot and WAL decoders (seed
-# corpora live in each package's testdata/fuzz or in its f.Add calls).
+# auditor), the durable store's snapshot and WAL decoders and instance
+# validation (seed corpora live in each package's testdata/fuzz or in its
+# f.Add calls).
 fuzz:
 	$(GO) test -fuzz FuzzBoxKnapsack -fuzztime 30s ./internal/projection
 	$(GO) test -fuzz FuzzSolve -fuzztime 30s ./internal/lp
 	$(GO) test -fuzz FuzzDifferentialOffline -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzDifferentialOnline -fuzztime 30s ./internal/online
 	$(GO) test -fuzz FuzzSnapshotAndWALDecode -fuzztime 30s ./internal/serve
+	$(GO) test -fuzz FuzzInstanceValidate -fuzztime 30s ./internal/model
 
 # Differentially audit real runs end to end: every committed trajectory
 # is re-derived (feasibility, integrality, independent cost recomputation)

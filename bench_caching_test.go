@@ -45,13 +45,12 @@ func BenchmarkP1_FlowVsSimplex(b *testing.B) {
 }
 
 // BenchmarkP1_DualSweep compares one full P1 sweep (all SBS placements
-// under fresh dual rewards) on the from-scratch workspace path ("fresh":
-// Reset + full SetCost sweep + zero-flow Solve per SBS) against the
-// delta-aware path ("incremental": only dirty (t, n) reward rows are
-// retargeted, clean SBSs are skipped outright and the flow is re-optimised
-// via mcflow.Resolve). Each incremental iteration perturbs two reward rows
-// — the steady state of a nearly-converged dual loop — and must run
-// allocation-free.
+// under fresh dual rewards) on the workspace's nil-dirty path ("fresh":
+// full SetCost sweep + Reset + Solve per SBS) against the delta-aware path
+// ("incremental": only dirty (t, n) reward rows are retargeted, clean SBSs
+// are skipped outright, and a dirty SBS still runs Reset + Solve). Each
+// incremental iteration perturbs two reward rows — the steady state of a
+// nearly-converged dual loop. Both rows must run allocation-free.
 func BenchmarkP1_DualSweep(b *testing.B) {
 	cfg := workload.PaperDefault()
 	cfg.N = 6 // multi-cell: dirty rows touch ≤2 SBSs, the rest skip
@@ -112,7 +111,7 @@ func BenchmarkP1_DualSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		// Flush amortized growth (dirty lists, telemetry buckets) so the
+		// Flush amortized growth (telemetry buckets) so the
 		// timed loop measures the allocation-free steady state.
 		for i := 0; i < 8; i++ {
 			step()

@@ -4,7 +4,7 @@
 // offline-solver benches and the sparse/web-scale suite. Kernel-specific
 // benchmarks live in per-kernel files alongside this one:
 //
-//	bench_mcflow_test.go       min-cost flow: SSP solve, incremental Resolve
+//	bench_mcflow_test.go       min-cost flow: SSP solve, reused-graph re-solve
 //	bench_caching_test.go      P1: flow vs simplex, dirty-row dual sweep
 //	bench_loadbalance_test.go  P2: FISTA vs PGD, projection, dual sweep
 //	bench_online_test.go       controllers, warm-window incremental solve

@@ -11,12 +11,9 @@ import (
 	"edgecache/internal/obs"
 )
 
-// Incremental-path metrics (atomic; read by -metrics and /debug/vars).
-var (
-	mSBSSkips    = obs.Default.Counter("caching.p1_sbs_skips")
-	mResolveKept = obs.Default.Counter("caching.p1_resolve_kept")
-	mResolveCold = obs.Default.Counter("caching.p1_resolve_fresh")
-)
+// mSBSSkips counts SBSs SolveAllRows skipped because none of their reward
+// rows moved (atomic; read by -metrics and /debug/vars).
+var mSBSSkips = obs.Default.Counter("caching.p1_sbs_skips")
 
 // sbsNet is one SBS's bound time-expanded network plus everything needed
 // to reuse it: the geometry pins that decide whether a later Bind can
@@ -50,9 +47,8 @@ type sbsNet struct {
 // iteration — reuse one time-expanded flow network per SBS instead of
 // rebuilding it. Only the hold-arc costs depend on μ; topology, capacities
 // and fetch costs are fixed by the instance, so each iteration is a
-// Reset + SetCost pass followed by a solve on recycled solver scratch —
-// or, on the delta-aware SolveAllRows path, a SetCost pass over the dirty
-// reward rows only, followed by an incremental mcflow.Resolve.
+// SetCost pass (over the dirty reward rows only, on the delta-aware
+// SolveAllRows path) followed by Reset + Solve on recycled solver scratch.
 //
 // A Workspace is not safe for concurrent use. The zero value is usable
 // after Bind.
@@ -98,8 +94,7 @@ func (ws *Workspace) Bind(in *model.Instance) { ws.BindPruned(in, nil) }
 // When an SBS's network geometry is unchanged from the previous binding —
 // same horizon, candidate set, capacity floor and β — the graph is kept
 // rather than rebuilt: only the slot-0 fetch costs (the initial cache) are
-// retargeted, and the retained flow becomes the warm start of the next
-// Resolve. The cross-window replan path of the online controllers hits
+// retargeted. The cross-window replan path of the online controllers hits
 // this on every window, making rebinding allocation-free in steady state.
 func (ws *Workspace) BindPruned(in *model.Instance, cands [][]int) {
 	ws.in = in
@@ -127,9 +122,7 @@ func (ws *Workspace) BindPruned(in *model.Instance, cands [][]int) {
 		if net.built && net.horizon == horizon && net.kc == kc &&
 			net.capFloor == capFloor && net.beta == in.Beta[n] && sameItems(net.items, items) {
 			// Reuse the network: only the slot-0 fetch costs depend on
-			// the initial cache. SetCost diffs against the stored bits and
-			// records dirty arcs, so the retained flow stays a valid warm
-			// start for Resolve.
+			// the initial cache.
 			net.items = items
 			for ci := 0; ci < kc; ci++ {
 				k := ci
@@ -221,22 +214,6 @@ func sameItems(a, b []int) bool {
 	return true
 }
 
-// FlowStats aggregates the Resolve outcome counters of the bound per-SBS
-// networks (see mcflow.ResolveStats).
-func (ws *Workspace) FlowStats() mcflow.ResolveStats {
-	var st mcflow.ResolveStats
-	for n := range ws.nets {
-		if !ws.nets[n].built {
-			continue
-		}
-		s := ws.nets[n].g.Stats()
-		st.Kept += s.Kept
-		st.Repaired += s.Repaired
-		st.Fresh += s.Fresh
-	}
-	return st
-}
-
 // SolveAll is the workspace counterpart of the package-level SolveAll: it
 // solves P1 for every SBS under the given rewards and returns the per-slot
 // placements (aliasing workspace memory, overwritten by the next call) and
@@ -250,16 +227,15 @@ func (ws *Workspace) SolveAll(ctx context.Context, rewards [][][]float64) ([]mod
 // reports whether rewards[t][n] may differ from the previous call's. An
 // SBS none of whose rows are dirty is skipped outright — its placement
 // rows and cached objective are returned unchanged — and a dirty SBS
-// retargets only its dirty rows before re-optimising incrementally via
-// mcflow.Resolve. A nil dirty runs the from-scratch baseline (Reset, full
-// SetCost sweep, zero-flow Solve) for every SBS.
+// retargets only its dirty rows. A nil dirty retargets every row of every
+// SBS. Either way each solved SBS then runs Reset + Solve, so its flow is
+// exactly a freshly built graph's (mcflow's reuse contract).
 //
-// Both paths compute the per-SBS objective canonically from the placement
-// (Subproblem.Objective order), so totals are bit-identical between the
-// incremental and from-scratch paths whenever the placements are — which
-// mcflow.Resolve's uniqueness certificate guarantees. Reward validation
-// only covers the rows actually retargeted: an invalid value in a clean
-// row of a dirty run is reported by the baseline path but unseen here.
+// The per-SBS objective is computed canonically from the placement
+// (Subproblem.Objective order), so a skipped SBS's cached objective is
+// bit-identical to a re-solve's. Reward validation only covers the rows
+// actually retargeted: an invalid value in a clean row of a dirty run is
+// reported by a nil-dirty call but unseen here.
 func (ws *Workspace) SolveAllRows(ctx context.Context, rewards [][][]float64, dirty [][]bool) ([]model.CachePlan, float64, error) {
 	in := ws.in
 	if in == nil {
@@ -302,9 +278,6 @@ func (ws *Workspace) SolveAllRows(ctx context.Context, rewards [][][]float64, di
 		mFlowSolves.Inc()
 		start := time.Now()
 		g := net.g
-		if dirty == nil {
-			g.Reset()
-		}
 		for t := 0; t < in.T; t++ {
 			if !allRows && !dirty[t][n] {
 				continue
@@ -329,18 +302,8 @@ func (ws *Workspace) SolveAllRows(ctx context.Context, rewards [][][]float64, di
 				}
 			}
 		}
-		var err error
-		if dirty == nil {
-			_, err = g.Solve(0, in.T, net.capFloor)
-		} else {
-			before := g.Stats()
-			_, err = g.Resolve(0, in.T, net.capFloor)
-			if after := g.Stats(); after.Fresh > before.Fresh {
-				mResolveCold.Inc()
-			} else {
-				mResolveKept.Inc()
-			}
-		}
+		g.Reset()
+		_, err := g.Solve(0, in.T, net.capFloor)
 		mFlowTime.Observe(time.Since(start))
 		if err != nil {
 			net.solved = false

@@ -27,6 +27,7 @@ func sameResult(a, b *Result) bool {
 	return a.LowerBound == b.LowerBound &&
 		a.Gap == b.Gap &&
 		a.Iterations == b.Iterations &&
+		a.LastImprovingIter == b.LastImprovingIter &&
 		a.Converged == b.Converged &&
 		a.Cost == b.Cost &&
 		reflect.DeepEqual(a.Trajectory, b.Trajectory) &&

@@ -10,9 +10,10 @@ import (
 
 // TestSolveIncrementalMatchesDisabled pins the tentpole contract of the
 // delta-aware dual loop: with the incremental machinery on (μ-row dirty
-// tracking, reward-row recompute skips, P1 flow re-optimisation, P2
-// fixed-point skips) every Solve result — trajectory, bounds, multipliers,
-// iteration count — is bit-identical to the ablated from-scratch loop.
+// tracking, reward-row recompute skips, P1 dirty-row retargeting and SBS
+// skips, P2 fixed-point skips) every Solve result — trajectory, bounds,
+// multipliers, iteration counts — is bit-identical to the ablated
+// from-scratch loop.
 func TestSolveIncrementalMatchesDisabled(t *testing.T) {
 	for _, ratio := range []float64{0, 0.25} {
 		cfg := mediumInstance(t, func(c *workload.InstanceConfig) { c.OmegaSBSRatio = ratio })

@@ -40,6 +40,10 @@ var (
 	mLastGap   = obs.Default.Gauge("core.last_gap")
 	mGapHist   = obs.Default.Histogram("core.final_gap")
 	mIterHist  = obs.Default.Histogram("core.iterations_per_solve")
+	// Dual-loop yield: solves whose dual iterations beat the seeded upper
+	// bound, and the last iteration that improved it (0: never beaten).
+	mUBImproved   = obs.Default.Counter("core.ub_improved")
+	mLastImprHist = obs.Default.Histogram("core.last_improving_iter")
 )
 
 // dualBatchSpanSize groups dual iterations into one "dual_batch" span
@@ -98,7 +102,7 @@ type Options struct {
 	Advance int
 	// DisableIncremental turns off the delta-aware re-solve machinery inside
 	// the dual loop — per-(t, n) μ-row change tracking, the reward-row
-	// recompute skip, the P1 incremental flow re-optimisation and the P2
+	// recompute skip, the P1 dirty-row retargeting and SBS skip, and the P2
 	// fixed-point slot skip. Results are bit-identical either way (that is
 	// the machinery's contract, pinned by TestSolveIncrementalMatchesDisabled
 	// and the sim-level differential suite); the switch exists for ablation,
@@ -147,6 +151,10 @@ type Result struct {
 	Gap float64
 	// Iterations is the number of dual updates performed.
 	Iterations int
+	// LastImprovingIter is the last dual iteration whose recovered
+	// trajectory lowered the upper bound below the seed heuristic's (or an
+	// earlier iteration's); 0 means the seed was never beaten.
+	LastImprovingIter int
 	// Converged reports whether Gap ≤ Epsilon within MaxIter.
 	Converged bool
 	// Mu holds the final dual multipliers, suitable for warm-starting a
@@ -331,6 +339,7 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 			best = br.Total
 			res.Trajectory = traj
 			res.Cost = br
+			res.LastImprovingIter = l
 			stall = 0
 		} else {
 			stall++
@@ -402,9 +411,14 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 	if res.Converged {
 		mConverged.Inc()
 	}
+	if res.LastImprovingIter > 0 {
+		mUBImproved.Inc()
+	}
 	mGapHist.Observe(res.Gap)
 	mIterHist.Observe(float64(res.Iterations))
+	mLastImprHist.Observe(float64(res.LastImprovingIter))
 	solveSpan.Set("iterations", res.Iterations)
+	solveSpan.Set("last_improving_iter", res.LastImprovingIter)
 	solveSpan.Set("converged", res.Converged)
 	solveSpan.Set("gap", res.Gap)
 	if tel.Enabled() {

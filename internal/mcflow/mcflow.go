@@ -15,29 +15,17 @@
 // always is — and by Bellman–Ford otherwise; subsequent iterations use
 // Dijkstra on reduced costs.
 //
-// # Reuse contract: Reset versus Resolve
+// # Reuse contract: Reset + SetCost
 //
-// A network can be reused across solves in two ways. Reset restores every
-// arc to its construction capacity, erasing all routed flow (and clearing
-// the incremental bookkeeping below); together with SetCost it supports
-// the rebuild-from-zero pattern — Reset, retarget costs, Solve — whose
-// results match a freshly constructed graph bit for bit
-// (TestResetSetCostMatchesFresh).
-//
-// Resolve is the delta-aware alternative. While the graph holds a solved
-// flow, SetCost records which arcs actually changed; Resolve then keeps
-// the previous flow and potentials when every dirty arc's residual
-// reduced cost remains non-negative, repairs the potentials with a
-// bounded Bellman–Ford pass over the residual graph when it does not,
-// and — before trusting the retained flow — certifies via the tight
-// residual subgraph that the optimum is unique, so the kept flow is the
-// one a from-scratch solve would find. Whenever the certificate cannot
-// establish that, Resolve falls back to exactly the Reset+Solve path.
-// Either way the per-arc flows returned are bit-identical to a fresh
-// solve (TestResolveMatchesFresh); only Result.Cost may differ in the
-// last bits, because the kept path accumulates cost in arc order while
-// the augmenting path accumulates it in augmentation order — callers that
-// need bit-stable objectives should recompute them from the flows.
+// A network can be reused across solves that differ only in arc costs.
+// Reset restores every arc to its construction capacity, erasing all
+// routed flow; SetCost retargets an arc's cost, on a graph that holds flow
+// or not. Reset, retarget costs (in either order), Solve — the results
+// match a freshly constructed graph bit for bit, Result.Cost included
+// (TestResetSetCostMatchesFresh). There is deliberately no
+// keep-the-previous-flow re-solve: a dual step moves whole reward rows,
+// and on the service's traffic such a tier almost never kept a flow
+// (DESIGN.md §12).
 package mcflow
 
 import (
@@ -84,34 +72,7 @@ type Graph struct {
 	q            []pqItem
 	indeg, order []int
 	queue        []int
-
-	// Incremental re-solve state (Resolve). dirty lists the arcs whose
-	// cost changed since the flow was last solved (dirtyMark dedups), and
-	// warm* pin the (source, sink, supply) problem the retained flow and
-	// potentials solve. routed tracks total flow routed since the last
-	// Reset so Solve knows whether it started from a pristine network.
-	dirty      []Arc
-	dirtyMark  []bool
-	warm       bool
-	warmSrc    int
-	warmSink   int
-	warmSupply int
-	routed     int
-	stats      ResolveStats
-
-	// Uniqueness-certificate scratch (tight residual subgraph).
-	comp, tHead, tTo, tNext []int
 }
-
-// ResolveStats counts Resolve outcomes since construction: Kept retained
-// the flow directly, Repaired retained it after a potential-repair pass,
-// Fresh fell back to the from-scratch Reset+Solve path.
-type ResolveStats struct {
-	Kept, Repaired, Fresh int
-}
-
-// Stats returns the Resolve outcome counters.
-func (g *Graph) Stats() ResolveStats { return g.stats }
 
 // NewGraph returns an empty network with n nodes, numbered 0..n−1.
 func NewGraph(n int) *Graph {
@@ -144,8 +105,6 @@ func (g *Graph) AddArc(from, to int, capacity int, cost float64) Arc {
 	g.arcs = append(g.arcs, arc{to: from, cap: 0, cost: -cost, next: g.head[to]})
 	g.head[to] = len(g.arcs) - 1
 	g.caps = append(g.caps, capacity)
-	g.dirtyMark = append(g.dirtyMark, false)
-	g.warm = false // topology changed: the retained flow no longer applies
 	return id
 }
 
@@ -158,45 +117,24 @@ func (g *Graph) Flow(id Arc) int {
 // (forward = capacity, reverse = 0), erasing all routed flow so the graph
 // can be solved afresh. Costs are kept. Together with SetCost this lets a
 // caller reuse one network across solves that differ only in arc costs —
-// the dual-reward updates of the caching subproblem P1. Reset also clears
-// the incremental bookkeeping (dirty arcs, warm state), so the next solve
-// starts from the same state as a freshly constructed graph.
+// the dual-reward updates of the caching subproblem P1.
 func (g *Graph) Reset() {
 	for i, c := range g.caps {
 		g.arcs[2*i].cap = c
 		g.arcs[2*i+1].cap = 0
 	}
-	g.routed = 0
-	g.warm = false
-	g.clearDirty()
 }
 
-// SetCost replaces the cost of arc id (and of its residual reverse). A
-// call that does not change the stored bits is a no-op; a changing call
-// on a graph holding a solved flow records the arc on the dirty list
-// consumed by Resolve. Call it only between solves: changing costs
-// mid-solve corrupts the potentials.
+// SetCost replaces the cost of arc id (and of its residual reverse). Call
+// it only between solves. Solve extends whatever flow the graph holds, so
+// a cost change meant to apply to the whole flow needs a Reset before the
+// next Solve.
 func (g *Graph) SetCost(id Arc, cost float64) {
 	if math.IsNaN(cost) || math.IsInf(cost, 0) {
 		panic(fmt.Sprintf("mcflow: non-finite cost %g", cost))
 	}
-	if g.arcs[2*id].cost == cost {
-		return
-	}
 	g.arcs[2*id].cost = cost
 	g.arcs[2*id+1].cost = -cost
-	if g.warm && !g.dirtyMark[id] {
-		g.dirtyMark[id] = true
-		g.dirty = append(g.dirty, id)
-	}
-}
-
-// clearDirty empties the dirty-arc list and its dedup marks.
-func (g *Graph) clearDirty() {
-	for _, id := range g.dirty {
-		g.dirtyMark[id] = false
-	}
-	g.dirty = g.dirty[:0]
 }
 
 // scratch sizes the reusable solver buffers to the node count.
@@ -230,42 +168,32 @@ type Result struct {
 // mutates the graph's residual capacities; call Flow to read per-arc flow
 // afterwards. Calling Solve again routes additional flow on top of the
 // existing one (the residual graph is re-potentialised first).
-func (g *Graph) Solve(source, sink, supply int) (*Result, error) {
+func (g *Graph) Solve(source, sink, supply int) (Result, error) {
 	if source < 0 || source >= len(g.head) || sink < 0 || sink >= len(g.head) {
-		return nil, fmt.Errorf("mcflow: endpoints (%d, %d) outside node range [0, %d)", source, sink, len(g.head))
+		return Result{}, fmt.Errorf("mcflow: endpoints (%d, %d) outside node range [0, %d)", source, sink, len(g.head))
 	}
 	if supply < 0 {
-		return nil, fmt.Errorf("mcflow: negative supply %d", supply)
+		return Result{}, fmt.Errorf("mcflow: negative supply %d", supply)
 	}
 	if supply == 0 {
-		return &Result{}, nil
+		return Result{}, nil
 	}
-
-	// An additive solve on an unchanged-cost warm graph extends the warm
-	// problem; anything else re-establishes warmth only when the network
-	// held no flow at all (the Reset+Solve and Resolve-fallback paths).
-	routedBefore := g.routed
-	extendsWarm := g.warm && g.warmSrc == source && g.warmSink == sink && len(g.dirty) == 0
-	g.warm = false
-	g.clearDirty()
 
 	g.scratch()
 	pi, err := g.initialPotentials(source)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 
-	res := &Result{}
+	var res Result
 	dist, prevArc := g.dist, g.prevArc
 	for res.Flow < supply {
 		ok := g.dijkstra(source, pi, dist, prevArc)
 		if !ok {
-			g.routed += res.Flow
-			return nil, errors.New("mcflow: internal error: negative reduced cost (corrupted potentials)")
+			return Result{}, errors.New("mcflow: internal error: negative reduced cost (corrupted potentials)")
 		}
 		if math.IsInf(dist[sink], 1) {
-			g.routed += res.Flow
-			return nil, fmt.Errorf("%w: routed %d of %d", ErrInfeasible, res.Flow, supply)
+			return Result{}, fmt.Errorf("%w: routed %d of %d", ErrInfeasible, res.Flow, supply)
 		}
 		// Update potentials, capping unreachable nodes at the sink distance
 		// so reduced costs stay non-negative on arcs that can still matter.
@@ -293,245 +221,7 @@ func (g *Graph) Solve(source, sink, supply int) (*Result, error) {
 		}
 		res.Flow += bottleneck
 	}
-	g.routed += res.Flow
-	if routedBefore == 0 {
-		g.warm, g.warmSrc, g.warmSink, g.warmSupply = true, source, sink, res.Flow
-	} else if extendsWarm {
-		g.warm = true
-		g.warmSupply += res.Flow
-	}
 	return res, nil
-}
-
-// Resolve re-solves the network after SetCost updates, with results
-// equivalent to Reset followed by Solve: per-arc flows are bit-identical
-// to a from-scratch solve. When the retained flow can be certified as the
-// unique optimum under the updated costs it is kept as is — O(arcs)
-// instead of a full successive-shortest-paths run — otherwise Resolve
-// falls back to exactly the Reset+Solve path. See the package comment for
-// the full reuse contract.
-func (g *Graph) Resolve(source, sink, supply int) (Result, error) {
-	if source < 0 || source >= len(g.head) || sink < 0 || sink >= len(g.head) {
-		return Result{}, fmt.Errorf("mcflow: endpoints (%d, %d) outside node range [0, %d)", source, sink, len(g.head))
-	}
-	if supply < 0 {
-		return Result{}, fmt.Errorf("mcflow: negative supply %d", supply)
-	}
-	if g.warm && g.warmSrc == source && g.warmSink == sink && g.warmSupply == supply {
-		g.scratch()
-		repaired := false
-		feasible := g.dirtyFeasible()
-		if !feasible {
-			feasible = g.repairPotentials()
-			repaired = true
-		}
-		if feasible && g.tightUnique() {
-			if repaired {
-				g.stats.Repaired++
-			} else {
-				g.stats.Kept++
-			}
-			g.clearDirty()
-			return g.canonicalResult(supply), nil
-		}
-	}
-	g.stats.Fresh++
-	return g.resolveFresh(source, sink, supply)
-}
-
-// resolveFresh zeroes the routed flow and solves from scratch — the
-// fallback (and baseline-equivalent) path of Resolve.
-func (g *Graph) resolveFresh(source, sink, supply int) (Result, error) {
-	for i, c := range g.caps {
-		g.arcs[2*i].cap = c
-		g.arcs[2*i+1].cap = 0
-	}
-	g.routed = 0
-	g.warm = false
-	g.clearDirty()
-	res, err := g.Solve(source, sink, supply)
-	if err != nil {
-		return Result{}, err
-	}
-	return *res, nil
-}
-
-// dirtyFeasible reports whether every dirty arc's residual directions
-// still have non-negative reduced cost under the retained potentials.
-// Costs of clean arcs did not change, so their reduced costs carry over
-// from the last solve; dirty arcs are the only ones that can break the
-// optimality invariant.
-func (g *Graph) dirtyFeasible() bool {
-	for _, id := range g.dirty {
-		e := 2 * int(id)
-		u, v := g.arcs[e^1].to, g.arcs[e].to
-		if g.arcs[e].cap > 0 && g.arcs[e].cost+g.pi[u]-g.pi[v] < 0 {
-			return false
-		}
-		if g.arcs[e^1].cap > 0 && g.arcs[e^1].cost+g.pi[v]-g.pi[u] < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// repairPotentials relaxes the retained potentials over the residual
-// graph until every residual arc's reduced cost is (numerically)
-// non-negative again. The pass count is bounded: cost perturbations from
-// a dual update are localized, so violations that have not settled after
-// a few sweeps signal a structurally different optimum — at which point a
-// fresh solve is the cheaper answer anyway.
-func (g *Graph) repairPotentials() bool {
-	const maxPasses = 16
-	n := len(g.head)
-	for pass := 0; pass < maxPasses; pass++ {
-		changed := false
-		for u := 0; u < n; u++ {
-			if math.IsInf(g.pi[u], 1) {
-				continue
-			}
-			for e := g.head[u]; e != -1; e = g.arcs[e].next {
-				if g.arcs[e].cap == 0 {
-					continue
-				}
-				if d := g.pi[u] + g.arcs[e].cost; d < g.pi[g.arcs[e].to]-1e-12 {
-					g.pi[g.arcs[e].to] = d
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return true
-		}
-	}
-	return false
-}
-
-// tightUnique certifies that the retained flow is the unique optimum. Two
-// optima differ by a conformal cycle in the residual graph — one that
-// never uses both directions of the same arc pair — and such a cycle has
-// true cost zero, so (potentials telescoping) every arc on it is tight:
-// reduced cost below a tolerance that dwarfs accumulated float error.
-// Pairs tight in both directions act as undirected edges (a conformal
-// cycle may cross them either way); they are contracted with a union-find
-// whose components must stay forests. Single-direction tight arcs then
-// must form a DAG over those components. Any violation means an alternate
-// optimum could exist and the caller must fall back to a fresh solve —
-// the certificate is conservative, never wrong.
-func (g *Graph) tightUnique() bool {
-	n := len(g.head)
-	maxAbs := 0.0
-	for i := range g.caps {
-		if c := math.Abs(g.arcs[2*i].cost); c > maxAbs {
-			maxAbs = c
-		}
-	}
-	for _, p := range g.pi {
-		if a := math.Abs(p); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	tol := 1e-7 * (1 + maxAbs)
-
-	if cap(g.comp) < n {
-		g.comp = make([]int, n)
-		g.tHead = make([]int, n)
-	}
-	comp := g.comp[:n]
-	tHead := g.tHead[:n]
-	for i := range comp {
-		comp[i] = i
-		tHead[i] = -1
-	}
-	find := func(x int) int {
-		for comp[x] != x {
-			comp[x] = comp[comp[x]]
-			x = comp[x]
-		}
-		return x
-	}
-	tight := func(e, u, v int) bool {
-		return g.arcs[e].cap > 0 && g.arcs[e].cost+g.pi[u]-g.pi[v] < tol
-	}
-
-	// Pass 1: contract pairs tight in both directions; a union closing a
-	// cycle is a zero-cost alternate already.
-	for i := range g.caps {
-		e := 2 * i
-		u, v := g.arcs[e^1].to, g.arcs[e].to
-		if tight(e, u, v) && tight(e^1, v, u) {
-			ru, rv := find(u), find(v)
-			if ru == rv {
-				return false
-			}
-			comp[ru] = rv
-		}
-	}
-	// Pass 2: single-direction tight arcs between components.
-	g.tTo = g.tTo[:0]
-	g.tNext = g.tNext[:0]
-	for i := range g.caps {
-		e := 2 * i
-		u, v := g.arcs[e^1].to, g.arcs[e].to
-		fwd, rev := tight(e, u, v), tight(e^1, v, u)
-		if fwd == rev {
-			continue // both: contracted above; neither: cannot sit on a zero-cost cycle
-		}
-		if rev {
-			u, v = v, u
-		}
-		cu, cv := find(u), find(v)
-		if cu == cv {
-			return false
-		}
-		g.tTo = append(g.tTo, cv)
-		g.tNext = append(g.tNext, tHead[cu])
-		tHead[cu] = len(g.tTo) - 1
-	}
-	// Kahn over the contracted graph: acyclic ⇒ no conformal tight cycle.
-	indeg := g.indeg[:n]
-	for i := range indeg {
-		indeg[i] = 0
-	}
-	for _, cv := range g.tTo {
-		indeg[cv]++
-	}
-	if cap(g.queue) < n {
-		g.queue = make([]int, 0, n)
-	}
-	queue := g.queue[:0]
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	processed := 0
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		processed++
-		for e := tHead[u]; e != -1; e = g.tNext[e] {
-			v := g.tTo[e]
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	return processed == n
-}
-
-// canonicalResult rebuilds a Result from the retained flow, accumulating
-// cost in ascending arc order so the value does not depend on the
-// augmentation history that produced the flow.
-func (g *Graph) canonicalResult(supply int) Result {
-	res := Result{Flow: supply}
-	for i, c := range g.caps {
-		if f := c - g.arcs[2*i].cap; f != 0 {
-			res.Cost += g.arcs[2*i].cost * float64(f)
-		}
-	}
-	return res
 }
 
 // initialPotentials computes shortest-path potentials from source over the

@@ -35,11 +35,10 @@ func incrementalPolicyPairs() map[string][2]Policy {
 // of the delta-aware re-solve machinery: end-to-end simulations must
 // commit DeepEqual-identical trajectories with the incremental paths on
 // or ablated, on both dense and sparse demand backings. Every delta layer
-// is on the line — the mcflow Resolve keep/repair certificate, the P1
-// dirty-row scheduling and SBS skips, the P2 fixed-point slot skips, the
-// μ-row change tracking in the dual loop and the cross-window coefficient
-// rotation — because a single stale or reordered float64 would surface as
-// a bitwise diff.
+// is on the line — the P1 dirty-row retargeting and SBS skips, the P2
+// fixed-point slot skips, the μ-row change tracking in the dual loop and
+// the cross-window coefficient rotation — because a single stale or
+// reordered float64 would surface as a bitwise diff.
 func TestSimulateIncrementalEquivalence(t *testing.T) {
 	inS, inD, predS, predD := equivSetup(t)
 	for name, pair := range incrementalPolicyPairs() {
