@@ -1,6 +1,5 @@
 // Caching (P1) kernel benchmarks: the flow-vs-simplex ablation from
-// DESIGN.md §4 and the dual-sweep workspace path with per-(t, n) dirty-row
-// scheduling (DESIGN.md §12).
+// DESIGN.md §4 and the dual-sweep workspace path (DESIGN.md §12).
 package edgecache_test
 
 import (
@@ -44,16 +43,12 @@ func BenchmarkP1_FlowVsSimplex(b *testing.B) {
 	})
 }
 
-// BenchmarkP1_DualSweep compares one full P1 sweep (all SBS placements
-// under fresh dual rewards) on the workspace's nil-dirty path ("fresh":
-// full SetCost sweep + Reset + Solve per SBS) against the delta-aware path
-// ("incremental": only dirty (t, n) reward rows are retargeted, clean SBSs
-// are skipped outright, and a dirty SBS still runs Reset + Solve). Each
-// incremental iteration perturbs two reward rows — the steady state of a
-// nearly-converged dual loop. Both rows must run allocation-free.
+// BenchmarkP1_DualSweep times one full P1 sweep of a bound workspace, the
+// P1 step of every dual iteration: a SetCost pass over every reward row,
+// then Reset + Solve for every SBS. It must run allocation-free.
 func BenchmarkP1_DualSweep(b *testing.B) {
 	cfg := workload.PaperDefault()
-	cfg.N = 6 // multi-cell: dirty rows touch ≤2 SBSs, the rest skip
+	cfg.N = 6
 	cfg.T = 10
 	cfg.K = 12
 	cfg.ClassesPerSBS = 8
@@ -73,11 +68,6 @@ func BenchmarkP1_DualSweep(b *testing.B) {
 			}
 		}
 	}
-	dirty := make([][]bool, in.T)
-	for t := range dirty {
-		dirty[t] = make([]bool, in.N)
-	}
-
 	b.Run("fresh", func(b *testing.B) {
 		ws := caching.NewWorkspace()
 		ws.Bind(in)
@@ -87,39 +77,6 @@ func BenchmarkP1_DualSweep(b *testing.B) {
 			if _, _, err := ws.SolveAll(context.Background(), rewards); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		ws := caching.NewWorkspace()
-		ws.Bind(in)
-		if _, _, err := ws.SolveAll(context.Background(), rewards); err != nil {
-			b.Fatal(err)
-		}
-		step := func() {
-			for t := range dirty {
-				for n := range dirty[t] {
-					dirty[t][n] = false
-				}
-			}
-			for j := 0; j < 2; j++ {
-				t, n := rng.IntN(in.T), rng.IntN(in.N)
-				row := rewards[t][n]
-				row[rng.IntN(in.K)] = rng.Float64() * 100
-				dirty[t][n] = true
-			}
-			if _, _, err := ws.SolveAllRows(context.Background(), rewards, dirty); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Flush amortized growth (telemetry buckets) so the
-		// timed loop measures the allocation-free steady state.
-		for i := 0; i < 8; i++ {
-			step()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step()
 		}
 	})
 }

@@ -1,6 +1,6 @@
 // Load-balancing (P2) kernel benchmarks: the FISTA-vs-PGD ablation, the
 // box-knapsack projection substrate, greedy recovery, and the dual-sweep
-// workspace path with fixed-point slot skips (DESIGN.md §12).
+// workspace path (DESIGN.md §12).
 package edgecache_test
 
 import (
@@ -99,10 +99,7 @@ func BenchmarkLoadBalance_GreedyRecovery(b *testing.B) {
 // so most slots restart at their own fixed point; zero allocations), with
 // μ alternating between two tensors every op ("moving": every slot runs a
 // full FISTA solve from the other tensor's optimum, as in the streaming
-// service's dual loop; zero allocations), and with the delta-aware sweep
-// ("dirty": only two μ rows moved since the last iteration, every other
-// slot sitting at a certified fixed point is skipped — the late-dual-loop
-// steady state, also zero allocations).
+// service's dual loop; zero allocations).
 func BenchmarkP2_DualSweep(b *testing.B) {
 	cfg := workload.PaperDefault()
 	cfg.T = 10
@@ -171,47 +168,6 @@ func BenchmarkP2_DualSweep(b *testing.B) {
 			if _, err := ws.SolveDual(context.Background(), mus[i%2], opts); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("dirty", func(b *testing.B) {
-		ws := loadbalance.NewWorkspace()
-		ws.Bind(in)
-		// Two passes: the first converges the slots, the second certifies
-		// their fixed points so clean slots become skippable.
-		for j := 0; j < 2; j++ {
-			if _, err := ws.SolveDual(context.Background(), mu, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-		dirty := make([][]bool, in.T)
-		for t := range dirty {
-			dirty[t] = make([]bool, in.N)
-		}
-		step := func() {
-			for t := range dirty {
-				for n := range dirty[t] {
-					dirty[t][n] = false
-				}
-			}
-			for j := 0; j < 2; j++ {
-				t, n := rng.IntN(in.T), rng.IntN(in.N)
-				row := mu[t][n]
-				row[rng.IntN(len(row))] = rng.Float64()
-				dirty[t][n] = true
-			}
-			if _, err := ws.SolveDualDirty(context.Background(), mu, opts, dirty); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Flush amortized growth so the timed loop measures the
-		// allocation-free steady state.
-		for i := 0; i < 8; i++ {
-			step()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step()
 		}
 	})
 }

@@ -1,7 +1,6 @@
 // Online-controller benchmarks: the three horizon controllers end to end,
-// and the warm-window solve sequence that isolates the cross-window
-// incremental machinery (coefficient rotation, iterate carry, dirty-row
-// scheduling — DESIGN.md §12).
+// and the warm-window solve sequence that isolates the cross-window warm
+// starts (μ shift, coefficient rotation, iterate carry — DESIGN.md §12).
 package edgecache_test
 
 import (
@@ -76,20 +75,17 @@ func shiftWarmMu(dst, mu [][][]float64, in *model.Instance) [][][]float64 {
 // benchWarmWindow solves the full sliding-window sequence once per
 // iteration with a single shared solver workspace. The cold variant is
 // the from-scratch controller step: every window starts with zero
-// multipliers, a full rebind and the delta machinery ablated
-// (core.Options.DisableIncremental). The incremental variant is the
-// warm-window steady state this PR builds: the previous window's μ is
-// shifted onto the overlap (the pre-existing warm start), Advance = 1
-// rotates per-(t, n) subproblem coefficients and carries the load
-// iterates across windows, and the dirty-(t, n) scheduling re-solves
-// only what the shift and the dual steps actually moved. Per-window
-// solutions stay bit-exact under the delta machinery
-// (TestSolveAdvanceIncrementalMatchesDisabled); warm starts trade
-// iterations, not correctness.
+// multipliers (nil InitialMu) and a full rebind (Advance = 0). The
+// incremental variant is the warm-window steady state: the previous
+// window's μ is shifted onto the overlap, and Advance = 1 rotates
+// per-(t, n) subproblem coefficients and carries the load iterates
+// across windows. Both variants re-solve every (t, n) in every dual
+// iteration; warm starts trade iterations, not correctness
+// (TestSolveAdvanceIncrementalMatchesDisabled).
 func benchWarmWindow(b *testing.B, cold bool) {
 	wins := warmWindows(b)
 	ws := core.NewWorkspace()
-	opts := core.Options{MaxIter: 15, StallIter: 6, Workspace: ws, DisableIncremental: cold}
+	opts := core.Options{MaxIter: 15, StallIter: 6, Workspace: ws}
 	var warm [][][]float64
 	run := func() {
 		for i, sub := range wins {

@@ -167,8 +167,8 @@ func (sp *Subproblem) SolveFlow() ([][]float64, float64, error) {
 	// Report the canonical objective of the placement rather than the flow
 	// solver's running cost: the latter accumulates in augmentation order,
 	// whose float rounding depends on the path history, while Objective is
-	// a pure function of the placement — the property the incremental
-	// workspace path relies on for bit-stable totals (DESIGN.md §12).
+	// a pure function of the placement — the property that keeps the
+	// Workspace path's totals bit-identical to this one (DESIGN.md §12).
 	return x, sp.Objective(x), nil
 }
 

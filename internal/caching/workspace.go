@@ -8,17 +8,10 @@ import (
 
 	"edgecache/internal/mcflow"
 	"edgecache/internal/model"
-	"edgecache/internal/obs"
 )
 
-// mSBSSkips counts SBSs SolveAllRows skipped because none of their reward
-// rows moved (atomic; read by -metrics and /debug/vars).
-var mSBSSkips = obs.Default.Counter("caching.p1_sbs_skips")
-
-// sbsNet is one SBS's bound time-expanded network plus everything needed
-// to reuse it: the geometry pins that decide whether a later Bind can
-// keep the graph, and the solved-state cache that lets SolveAllRows skip
-// the SBS outright when none of its reward rows moved.
+// sbsNet is one SBS's bound time-expanded network plus the geometry pins
+// that decide whether a later Bind can keep the graph.
 type sbsNet struct {
 	g    *mcflow.Graph
 	hold [][]mcflow.Arc // hold[t][ci]: flow > 0 ⇔ item ci cached at slot t
@@ -34,12 +27,6 @@ type sbsNet struct {
 	horizon, kc, capFloor int
 	beta                  float64
 	built                 bool
-
-	// solved reports that the graph's hold costs equal the rewards of the
-	// last SolveAllRows call, the flow solves them, the placement rows in
-	// Workspace.plans are current, and obj caches the canonical objective.
-	solved bool
-	obj    float64
 }
 
 // Workspace holds the per-instance state of the P1 caching subproblem so
@@ -47,8 +34,8 @@ type sbsNet struct {
 // iteration — reuse one time-expanded flow network per SBS instead of
 // rebuilding it. Only the hold-arc costs depend on μ; topology, capacities
 // and fetch costs are fixed by the instance, so each iteration is a
-// SetCost pass (over the dirty reward rows only, on the delta-aware
-// SolveAllRows path) followed by Reset + Solve on recycled solver scratch.
+// SetCost pass over every reward row followed by Reset + Solve on
+// recycled solver scratch.
 //
 // A Workspace is not safe for concurrent use. The zero value is usable
 // after Bind.
@@ -60,9 +47,8 @@ type Workspace struct {
 	// for canonical objectives.
 	initial model.CachePlan
 
-	// plans is the placement buffer returned by SolveAll; rows of solved
-	// SBSs persist across calls (that persistence is what lets a skipped
-	// SBS return its previous placement untouched).
+	// plans is the placement buffer returned by SolveAll, overwritten by
+	// every call.
 	plans []model.CachePlan
 }
 
@@ -118,7 +104,6 @@ func (ws *Workspace) BindPruned(in *model.Instance, cands [][]int) {
 		}
 		net := &ws.nets[n]
 		capFloor := in.CacheCapFloor(n)
-		net.solved = false
 		if net.built && net.horizon == horizon && net.kc == kc &&
 			net.capFloor == capFloor && net.beta == in.Beta[n] && sameItems(net.items, items) {
 			// Reuse the network: only the slot-0 fetch costs depend on
@@ -217,35 +202,19 @@ func sameItems(a, b []int) bool {
 // SolveAll is the workspace counterpart of the package-level SolveAll: it
 // solves P1 for every SBS under the given rewards and returns the per-slot
 // placements (aliasing workspace memory, overwritten by the next call) and
-// the total P1 objective. Behaviour, summation order and solutions are
-// identical to the per-call path.
-func (ws *Workspace) SolveAll(ctx context.Context, rewards [][][]float64) ([]model.CachePlan, float64, error) {
-	return ws.SolveAllRows(ctx, rewards, nil)
-}
-
-// SolveAllRows is SolveAll with per-(t, n) change tracking: dirty[t][n]
-// reports whether rewards[t][n] may differ from the previous call's. An
-// SBS none of whose rows are dirty is skipped outright — its placement
-// rows and cached objective are returned unchanged — and a dirty SBS
-// retargets only its dirty rows. A nil dirty retargets every row of every
-// SBS. Either way each solved SBS then runs Reset + Solve, so its flow is
-// exactly a freshly built graph's (mcflow's reuse contract).
-//
+// the total P1 objective. Every SBS retargets every hold cost and then
+// runs Reset + Solve, so its flow is exactly a freshly built graph's
+// (mcflow's reuse contract); every reward is validated on every call.
 // The per-SBS objective is computed canonically from the placement
-// (Subproblem.Objective order), so a skipped SBS's cached objective is
-// bit-identical to a re-solve's. Reward validation only covers the rows
-// actually retargeted: an invalid value in a clean row of a dirty run is
-// reported by a nil-dirty call but unseen here.
-func (ws *Workspace) SolveAllRows(ctx context.Context, rewards [][][]float64, dirty [][]bool) ([]model.CachePlan, float64, error) {
+// (Subproblem.Objective order). Behaviour, summation order and solutions
+// are identical to the per-call path.
+func (ws *Workspace) SolveAll(ctx context.Context, rewards [][][]float64) ([]model.CachePlan, float64, error) {
 	in := ws.in
 	if in == nil {
 		panic("caching: Workspace.SolveAll before Bind")
 	}
 	if len(rewards) != in.T {
 		return nil, 0, fmt.Errorf("caching: rewards cover %d slots, want %d", len(rewards), in.T)
-	}
-	if dirty != nil && len(dirty) != in.T {
-		return nil, 0, fmt.Errorf("caching: dirty rows cover %d slots, want %d", len(dirty), in.T)
 	}
 
 	var total float64
@@ -256,32 +225,10 @@ func (ws *Workspace) SolveAllRows(ctx context.Context, rewards [][][]float64, di
 			}
 		}
 		net := &ws.nets[n]
-		// A net that has never been solved must apply every row regardless
-		// of the dirty list: its graph may hold stale costs from a
-		// previous binding.
-		allRows := dirty == nil || !net.solved
-		if !allRows {
-			rowsDirty := false
-			for t := 0; t < in.T; t++ {
-				if dirty[t][n] {
-					rowsDirty = true
-					break
-				}
-			}
-			if !rowsDirty {
-				mSBSSkips.Inc()
-				total += net.obj
-				continue
-			}
-		}
-
 		mFlowSolves.Inc()
 		start := time.Now()
 		g := net.g
 		for t := 0; t < in.T; t++ {
-			if !allRows && !dirty[t][n] {
-				continue
-			}
 			if len(rewards[t]) != in.N || len(rewards[t][n]) != in.K {
 				return nil, 0, fmt.Errorf("caching: rewards[%d] shaped (%d SBS)", t, len(rewards[t]))
 			}
@@ -306,7 +253,6 @@ func (ws *Workspace) SolveAllRows(ctx context.Context, rewards [][][]float64, di
 		_, err := g.Solve(0, in.T, net.capFloor)
 		mFlowTime.Observe(time.Since(start))
 		if err != nil {
-			net.solved = false
 			return nil, 0, fmt.Errorf("caching: SBS %d: caching: flow solve: %w", n, err)
 		}
 		for t := 0; t < in.T; t++ {
@@ -330,9 +276,7 @@ func (ws *Workspace) SolveAllRows(ctx context.Context, rewards [][][]float64, di
 				}
 			}
 		}
-		net.obj = ws.objectiveSBS(n, rewards)
-		net.solved = true
-		total += net.obj
+		total += ws.objectiveSBS(n, rewards)
 	}
 	return ws.plans, total, nil
 }

@@ -2,6 +2,7 @@ package caching
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -96,13 +97,14 @@ func TestWorkspaceMatchesSolveAll(t *testing.T) {
 	}
 }
 
-// TestWorkspaceIncrementalMatchesBaseline drives the delta-aware
-// SolveAllRows path through a dual-iteration-shaped sequence of partial
-// reward updates and checks it reproduces the per-call SolveAll baseline
-// exactly — identical placements, bit-identical objective — including
-// full-SBS skips (no reward row moved) and dirty-row-only retargeting
-// (some rows moved). The all-clean round additionally asserts via the
-// caching.p1_flow_solves counter that the workspace ran no flow solve.
+// TestWorkspaceIncrementalMatchesBaseline drives one bound workspace
+// through a dual-iteration-shaped sequence of partial reward updates —
+// most rows stay put between calls, like late dual iterations where μ has
+// largely converged — and checks every call reproduces the per-call
+// SolveAll baseline exactly: identical placements, bit-identical
+// objective. Every call must re-solve every SBS (the caching.p1_flow_solves
+// counter rises by N), including a call where no reward moved, and
+// rebinding the same instance must keep the flow networks.
 func TestWorkspaceIncrementalMatchesBaseline(t *testing.T) {
 	cfg := workload.PaperDefault()
 	cfg.N = 3
@@ -119,51 +121,17 @@ func TestWorkspaceIncrementalMatchesBaseline(t *testing.T) {
 	ws.Bind(in)
 	rng := rand.New(rand.NewPCG(19, 5))
 	rewards := make([][][]float64, in.T)
-	dirty := make([][]bool, in.T)
 	for tt := range rewards {
 		rewards[tt] = make([][]float64, in.N)
-		dirty[tt] = make([]bool, in.N)
 		for n := range rewards[tt] {
 			rewards[tt][n] = make([]float64, in.K)
 		}
 	}
-	// check returns the number of flow solves the workspace ran. The
-	// counter is read around ws.SolveAllRows only: the package-level
-	// SolveAll baseline bumps it too.
-	check := func(iter int) int64 {
-		t.Helper()
-		wantPlans, wantObj, err := SolveAll(context.Background(), in, rewards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		solves := mFlowSolves.Value()
-		gotPlans, gotObj, err := ws.SolveAllRows(context.Background(), rewards, dirty)
-		solves = mFlowSolves.Value() - solves
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotObj != wantObj {
-			t.Fatalf("iter %d: incremental objective %v, baseline %v", iter, gotObj, wantObj)
-		}
-		for tt := range wantPlans {
-			if !reflect.DeepEqual(gotPlans[tt], wantPlans[tt]) {
-				t.Fatalf("iter %d slot %d: incremental plan diverges:\n got %v\nwant %v",
-					iter, tt, gotPlans[tt], wantPlans[tt])
-			}
-		}
-		return solves
-	}
-	for iter := 0; iter < 12; iter++ {
+	// update redraws each reward row with probability share.
+	update := func(share float64) {
 		for tt := range rewards {
 			for n := range rewards[tt] {
-				if iter == 0 {
-					dirty[tt][n] = true
-				} else {
-					// Sparse updates: most rows stay put, like late dual
-					// iterations where μ has largely converged.
-					dirty[tt][n] = rng.Float64() < 0.3
-				}
-				if !dirty[tt][n] {
+				if rng.Float64() >= share {
 					continue
 				}
 				for k := range rewards[tt][n] {
@@ -171,19 +139,42 @@ func TestWorkspaceIncrementalMatchesBaseline(t *testing.T) {
 				}
 			}
 		}
-		check(iter)
 	}
-
-	// All-clean round: every SBS must be skipped without touching its
-	// flow network.
-	for tt := range dirty {
-		for n := range dirty[tt] {
-			dirty[tt][n] = false
+	// check compares the workspace with the baseline. The counter is read
+	// around ws.SolveAll only: the package-level SolveAll bumps it too.
+	check := func(iter int) {
+		t.Helper()
+		wantPlans, wantObj, err := SolveAll(context.Background(), in, rewards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solves := mFlowSolves.Value()
+		gotPlans, gotObj, err := ws.SolveAll(context.Background(), rewards)
+		solves = mFlowSolves.Value() - solves
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solves != int64(in.N) {
+			t.Fatalf("iter %d: workspace ran %d flow solves, want one per SBS (%d)", iter, solves, in.N)
+		}
+		if gotObj != wantObj {
+			t.Fatalf("iter %d: workspace objective %v, baseline %v", iter, gotObj, wantObj)
+		}
+		for tt := range wantPlans {
+			if !reflect.DeepEqual(gotPlans[tt], wantPlans[tt]) {
+				t.Fatalf("iter %d slot %d: workspace plan diverges:\n got %v\nwant %v",
+					iter, tt, gotPlans[tt], wantPlans[tt])
+			}
 		}
 	}
-	if solves := check(12); solves != 0 {
-		t.Fatalf("all-clean round ran %d flow solves, want 0", solves)
+	update(1)
+	check(0)
+	for iter := 1; iter < 12; iter++ {
+		update(0.3)
+		check(iter)
 	}
+	// No reward moved: still a full re-solve with the same answer.
+	check(12)
 
 	// Rebinding the same instance must keep the graphs (cross-window
 	// reuse) and still match the baseline on the next full solve.
@@ -192,15 +183,65 @@ func TestWorkspaceIncrementalMatchesBaseline(t *testing.T) {
 	if ws.nets[0].g != g0 {
 		t.Fatal("rebinding an identical instance rebuilt the flow network")
 	}
-	for tt := range dirty {
-		for n := range dirty[tt] {
-			dirty[tt][n] = true
+	update(1)
+	check(13)
+}
+
+// TestWorkspaceRejectsInvalidReward checks that a workspace which has
+// already solved validates every reward on every call: a NaN, negative or
+// infinite reward in any (t, n) row fails the next SolveAll, and the
+// following valid call still matches the package-level SolveAll exactly.
+func TestWorkspaceRejectsInvalidReward(t *testing.T) {
+	cfg := workload.PaperDefault()
+	cfg.N = 2
+	cfg.T = 3
+	cfg.K = 5
+	cfg.ClassesPerSBS = 2
+	cfg.CacheCap = 2
+	in, err := workload.BuildInstance(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	ws.Bind(in)
+	rng := rand.New(rand.NewPCG(23, 9))
+	rewards := make([][][]float64, in.T)
+	for tt := range rewards {
+		rewards[tt] = make([][]float64, in.N)
+		for n := range rewards[tt] {
+			rewards[tt][n] = make([]float64, in.K)
 			for k := range rewards[tt][n] {
-				rewards[tt][n][k] = rng.Float64() * 40
+				rewards[tt][n][k] = rng.Float64() * 20
 			}
 		}
 	}
-	check(13)
+	if _, _, err := ws.SolveAll(context.Background(), rewards); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), -1, math.Inf(1)} {
+		for tt := 0; tt < in.T; tt++ {
+			for n := 0; n < in.N; n++ {
+				k := rng.IntN(in.K)
+				good := rewards[tt][n][k]
+				rewards[tt][n][k] = bad
+				if _, _, err := ws.SolveAll(context.Background(), rewards); err == nil {
+					t.Fatalf("reward[%d][%d][%d] = %g accepted by a solved workspace", tt, n, k, bad)
+				}
+				rewards[tt][n][k] = good
+				wantPlans, wantObj, err := SolveAll(context.Background(), in, rewards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotPlans, gotObj, err := ws.SolveAll(context.Background(), rewards)
+				if err != nil {
+					t.Fatalf("valid call after rejected reward[%d][%d][%d] = %g: %v", tt, n, k, bad, err)
+				}
+				if gotObj != wantObj || !reflect.DeepEqual(gotPlans, wantPlans) {
+					t.Fatalf("valid call after rejected reward[%d][%d][%d] = %g diverges from the per-call path", tt, n, k, bad)
+				}
+			}
+		}
+	}
 }
 
 // TestWorkspaceCancellation mirrors the per-call path's cancellation

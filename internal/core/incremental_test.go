@@ -8,12 +8,12 @@ import (
 	"edgecache/internal/workload"
 )
 
-// TestSolveIncrementalMatchesDisabled pins the tentpole contract of the
-// delta-aware dual loop: with the incremental machinery on (μ-row dirty
-// tracking, reward-row recompute skips, P1 dirty-row retargeting and SBS
-// skips, P2 fixed-point skips) every Solve result — trajectory, bounds,
-// multipliers, iteration counts — is bit-identical to the ablated
-// from-scratch loop.
+// TestSolveIncrementalMatchesDisabled checks that a workspace reused
+// across solves carries nothing into the next solve that could change
+// it: every result from a reused workspace — trajectory, bounds,
+// multipliers, iteration counts — is bit-identical to a fresh solve's.
+// Enough iterations run that μ settles, so late iterations re-solve rows
+// whose inputs no longer move.
 func TestSolveIncrementalMatchesDisabled(t *testing.T) {
 	for _, ratio := range []float64{0, 0.25} {
 		cfg := mediumInstance(t, func(c *workload.InstanceConfig) { c.OmegaSBSRatio = ratio })
@@ -22,42 +22,20 @@ func TestSolveIncrementalMatchesDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Enough iterations that μ settles and rows actually go clean —
-		// otherwise the skip paths are never exercised.
 		opts := Options{MaxIter: 25}
-		inc, err := Solve(context.Background(), in, opts)
+		fresh, err := Solve(context.Background(), in, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		ablated := opts
-		ablated.DisableIncremental = true
-		ref, err := Solve(context.Background(), in, ablated)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameResult(inc, ref) {
-			t.Fatalf("ratio=%g: incremental solve diverges from the from-scratch loop", ratio)
-		}
-
-		// Reused workspaces on both sides: the incremental path must also
-		// survive warm, previously-dirtied solver state.
-		incWS, refWS := opts, ablated
-		incWS.Workspace = NewWorkspace()
-		refWS.Workspace = NewWorkspace()
-		for round := 0; round < 2; round++ {
-			got, err := Solve(context.Background(), in, incWS)
+		reused := opts
+		reused.Workspace = NewWorkspace()
+		for round := 0; round < 3; round++ {
+			got, err := Solve(context.Background(), in, reused)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Solve(context.Background(), in, refWS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameResult(got, want) {
-				t.Fatalf("ratio=%g round %d: incremental reused-workspace solve diverges", ratio, round)
-			}
-			if !sameResult(got, inc) {
+			if !sameResult(got, fresh) {
 				t.Fatalf("ratio=%g round %d: reused-workspace solve diverges from fresh solve", ratio, round)
 			}
 		}
@@ -66,11 +44,12 @@ func TestSolveIncrementalMatchesDisabled(t *testing.T) {
 
 // TestSolveAdvanceIncrementalMatchesDisabled slides one workspace across
 // overlapping windows with Options.Advance (coefficient reuse + iterate
-// carry) and checks the incremental machinery changes nothing under it:
-// an ablated (DisableIncremental) workspace driven through the same
-// Advance sequence produces bit-identical results at every window. It
-// also checks an out-of-range Advance degrades to the full rebind —
-// identical to an Advance = 0 run — rather than corrupting state.
+// carry) and checks the carried state is exactly the exported P2
+// iterates: at every window, a fresh workspace restored (RestoreP2) from
+// the previous window's exported iterates produces a bit-identical
+// result. It also checks an out-of-range Advance degrades to the full
+// rebind — identical to an Advance = 0 run — rather than corrupting
+// state.
 func TestSolveAdvanceIncrementalMatchesDisabled(t *testing.T) {
 	cfg := mediumInstance(t, func(c *workload.InstanceConfig) {
 		c.T = 8
@@ -89,27 +68,31 @@ func TestSolveAdvanceIncrementalMatchesDisabled(t *testing.T) {
 		return sub
 	}
 
-	run := func(disable bool) []*Result {
-		opts := Options{MaxIter: 15, DisableIncremental: disable, Workspace: NewWorkspace()}
-		var out []*Result
-		for from := 0; from+w <= full.T; from++ {
-			o := opts
-			if from > 0 {
-				o.Advance = 1
+	opts := Options{MaxIter: 15, Workspace: NewWorkspace()}
+	var iterates [][][]float64
+	for from := 0; from+w <= full.T; from++ {
+		o := opts
+		if from > 0 {
+			o.Advance = 1
+		}
+		res, err := Solve(context.Background(), win(from), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if from > 0 {
+			restored := Options{MaxIter: 15, Workspace: NewWorkspace(), Advance: 1}
+			if err := restored.Workspace.RestoreP2(win(from-1), iterates[from-1]); err != nil {
+				t.Fatal(err)
 			}
-			res, err := Solve(context.Background(), win(from), o)
+			want, err := Solve(context.Background(), win(from), restored)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, res)
+			if !sameResult(res, want) {
+				t.Fatalf("window %d: Advance run diverges from a workspace restored from its iterates", from)
+			}
 		}
-		return out
-	}
-	inc, ref := run(false), run(true)
-	for i := range inc {
-		if !sameResult(inc[i], ref[i]) {
-			t.Fatalf("window %d: Advance run diverges between incremental and ablated loops", i)
-		}
+		iterates = append(iterates, opts.Workspace.ExportP2Iterates())
 	}
 
 	// An Advance larger than the previous horizon cannot describe any

@@ -100,14 +100,6 @@ type Options struct {
 	// value degrades to a full rebind, never to corruption. 0 (the default)
 	// rebinds from scratch, resetting all cross-window P2 state.
 	Advance int
-	// DisableIncremental turns off the delta-aware re-solve machinery inside
-	// the dual loop — per-(t, n) μ-row change tracking, the reward-row
-	// recompute skip, the P1 dirty-row retargeting and SBS skip, and the P2
-	// fixed-point slot skip. Results are bit-identical either way (that is
-	// the machinery's contract, pinned by TestSolveIncrementalMatchesDisabled
-	// and the sim-level differential suite); the switch exists for ablation,
-	// benchmarking and debugging.
-	DisableIncremental bool
 }
 
 func (o Options) withDefaults() Options {
@@ -226,15 +218,6 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 	best := math.Inf(1)
 	stall := 0
 
-	// dirty aliases the workspace's per-(t, n) μ-row change flags — the
-	// event-driven schedule of the delta-aware dual loop (all true right
-	// after bind; maintained by the subgradient step below). Nil ablates
-	// the whole incremental path: every row recomputes and re-solves.
-	var dirty [][]bool
-	if !opts.DisableIncremental {
-		dirty = ws.muDirty
-	}
-
 	// partial is the best-so-far result handed back alongside a context
 	// error: nil until a feasible trajectory exists, so callers can
 	// distinguish "nothing usable" from "usable but unfinished".
@@ -272,15 +255,9 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 			batch.Set("first_iter", l)
 		}
 
-		// ρ^t_{n,k} = Σ_m μ^t_{n,m,k} for P1. Rows whose μ did not move since
-		// their last recompute still hold the identical sum, so the
-		// incremental path leaves them untouched (dirty is nil — recompute
-		// everything — when the machinery is ablated).
+		// ρ^t_{n,k} = Σ_m μ^t_{n,m,k} for P1.
 		for t := 0; t < in.T; t++ {
 			for n := 0; n < in.N; n++ {
-				if dirty != nil && !dirty[t][n] {
-					continue
-				}
 				row := ws.rewards[t][n]
 				for k := range row {
 					row[k] = 0
@@ -298,7 +275,7 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 		p1Span := batch.Child("caching")
 		p1Span.Set("iter", l)
 		p1Start := time.Now()
-		xPlans, objP1, err := ws.p1.SolveAllRows(ctx, ws.rewards, dirty)
+		xPlans, objP1, err := ws.p1.SolveAll(ctx, ws.rewards)
 		p1Span.End()
 		if err != nil {
 			return partialOnCtx(ctx, partial), fmt.Errorf("core: iteration %d: %w", l, err)
@@ -311,7 +288,7 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 		p2Span := batch.Child("loadbalance")
 		p2Span.Set("iter", l)
 		p2Start := time.Now()
-		objP2, err := ws.p2.SolveDualDirty(ctx, mu, opts.Convex, dirty)
+		objP2, err := ws.p2.SolveDual(ctx, mu, opts.Convex)
 		p2Span.End()
 		if err != nil {
 			return partialOnCtx(ctx, partial), fmt.Errorf("core: iteration %d: %w", l, err)
@@ -373,18 +350,12 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 			break
 		}
 
-		// Projected subgradient step on μ (eqs. 15–17). This is the sole
-		// mutator of μ, so it also maintains the per-row dirty flags: a row
-		// is clean for the next iteration iff no coordinate changed value
-		// (clamped rows with g ≥ 0 against μ = 0 are the common clean case
-		// once x and y agree). Writes are conditional on an actual change,
-		// which keeps μ bitwise identical to the unconditional baseline.
+		// Projected subgradient step on μ (eqs. 15–17).
 		for t := 0; t < in.T; t++ {
 			for n := 0; n < in.N; n++ {
 				muRow := mu[t][n]
 				yRow := ws.p2.DualY(t, n)
 				xRow := xPlans[t][n]
-				changed := false
 				for m := 0; m < in.Classes[n]; m++ {
 					base := m * in.K
 					for k := 0; k < in.K; k++ {
@@ -393,13 +364,9 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 						if v < 0 {
 							v = 0
 						}
-						if v != muRow[base+k] {
-							muRow[base+k] = v
-							changed = true
-						}
+						muRow[base+k] = v
 					}
 				}
-				ws.muDirty[t][n] = changed
 			}
 		}
 	}

@@ -22,7 +22,6 @@ type Workspace struct {
 	p1      caching.Workspace
 	p2      loadbalance.Workspace
 	rewards [][][]float64 // ρ^t_{n,k} buffer, [t][n][k]
-	muDirty [][]bool      // per-(t, n): μ row changed since its last consumption
 }
 
 // NewWorkspace returns an empty workspace, ready to be passed via
@@ -54,7 +53,7 @@ func (ws *Workspace) bind(in *model.Instance, advance int) {
 	}
 	ws.p1.BindPruned(in, cands)
 	if advance > 0 {
-		ws.p2.BindAdvance(in, advance, true)
+		ws.p2.BindAdvance(in, advance)
 	} else {
 		ws.p2.Bind(in)
 	}
@@ -63,21 +62,11 @@ func (ws *Workspace) bind(in *model.Instance, advance int) {
 	} else {
 		ws.rewards = ws.rewards[:in.T]
 	}
-	if cap(ws.muDirty) < in.T {
-		ws.muDirty = make([][]bool, in.T)
-	} else {
-		ws.muDirty = ws.muDirty[:in.T]
-	}
 	for t := range ws.rewards {
 		if cap(ws.rewards[t]) < in.N {
 			ws.rewards[t] = make([][]float64, in.N)
 		} else {
 			ws.rewards[t] = ws.rewards[t][:in.N]
-		}
-		if cap(ws.muDirty[t]) < in.N {
-			ws.muDirty[t] = make([]bool, in.N)
-		} else {
-			ws.muDirty[t] = ws.muDirty[t][:in.N]
 		}
 		for n := range ws.rewards[t] {
 			if cap(ws.rewards[t][n]) < in.K {
@@ -85,9 +74,6 @@ func (ws *Workspace) bind(in *model.Instance, advance int) {
 			} else {
 				ws.rewards[t][n] = ws.rewards[t][n][:in.K]
 			}
-			// Everything is dirty at bind time: the first dual iteration of
-			// a fresh solve must recompute and re-solve every row.
-			ws.muDirty[t][n] = true
 		}
 	}
 }
@@ -111,10 +97,10 @@ func (ws *Workspace) ExportP2Iterates() [][]float64 {
 // RestoreP2 rebinds the P2 state to win — the window instance of the
 // workspace's last bound solve — and loads previously exported iterates,
 // reconstructing the warm-start state an uninterrupted run would carry
-// into its next BindAdvance. The P1 networks and recovery memoisation
-// stay cold: both are bit-exact result-neutral (the next Solve rebinds P1
-// and recomputes recoveries to identical values), so a restored
-// workspace's subsequent solves reproduce the uninterrupted run exactly.
+// into its next BindAdvance. The P1 networks stay cold: the next Solve
+// rebinds them and every dual iteration re-solves every SBS, so a
+// restored workspace's subsequent solves reproduce the uninterrupted run
+// exactly.
 func (ws *Workspace) RestoreP2(win *model.Instance, y [][]float64) error {
 	ws.p2.Bind(win)
 	return ws.p2.ImportIterates(y)

@@ -68,7 +68,7 @@ func TestBindAdvanceTailShrink(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Bind(winA)
 	tagIterates(t, ws, 4)
-	ws.BindAdvance(winB, 1, true)
+	ws.BindAdvance(winB, 1)
 
 	y := ws.ExportIterates()
 	if len(y) != 3 {
@@ -133,7 +133,7 @@ func TestBindAdvanceTrustsTheHintOnStationaryPlanes(t *testing.T) {
 		ws := NewWorkspace()
 		ws.Bind(winA)
 		tagIterates(t, ws, 4)
-		ws.BindAdvance(winB, advance, true)
+		ws.BindAdvance(winB, advance)
 		y := ws.ExportIterates()
 		tags := make([]float64, len(y))
 		for i := range y {

@@ -11,15 +11,8 @@ import (
 	"edgecache/internal/convex"
 	"edgecache/internal/mat"
 	"edgecache/internal/model"
-	"edgecache/internal/obs"
 	"edgecache/internal/parallel"
 	"edgecache/internal/projection"
-)
-
-// Delta-aware P2 metrics (atomic; read by -metrics and /debug/vars).
-var (
-	mSlotSkips  = obs.Default.Counter("loadbalance.p2_slot_skips")
-	mRecReplays = obs.Default.Counter("loadbalance.p2_recovery_replays")
 )
 
 // Workspace is the zero-reallocation P2 solver state of one primal-dual
@@ -53,7 +46,6 @@ type Workspace struct {
 	// per-call bindings for the closure-free dispatch functions
 	mu      [][][]float64
 	opts    convex.Options
-	dirty   [][]bool // non-nil only inside SolveDualDirty
 	recX    []model.CachePlan
 	recTraj model.Trajectory
 	dualFn  func(i int) error
@@ -104,23 +96,6 @@ type slotState struct {
 	vlam, vw, vwh, vhi []float64 // λ, w, ŵ and recovery bounds over the view
 	lamC, wC, whC, hiC []float64 // their gather buffers on compact planes
 	muC, yC            []float64 // μ and iterate gather buffers
-
-	// Delta-aware re-solve state. fixed records that the last dual solve
-	// was a bitwise fixed point — Minimize returned its warm start
-	// unchanged — under lastOpts; SolveDualDirty may then skip the slot
-	// when the caller certifies its μ row did not move (determinism makes
-	// a re-solve reproduce the identical iterate and objective). yOut is
-	// the alternate output buffer that makes the comparison observable.
-	yOut     []float64
-	fixed    bool
-	lastOpts convex.Options
-
-	// Recovery memoisation: recover() is a pure function of the plane
-	// coefficients, the bandwidth, the placement row and the options, so a
-	// repeated row replays the cached recovY instead of re-minimising.
-	recovX    []float64
-	recovOK   bool
-	recovOpts convex.Options
 
 	// Solvers: the dual kernel (dualFISTA) and its scratch for FISTA dual
 	// solves, the generic convex path for recovery and other methods.
@@ -181,13 +156,6 @@ func (ws *Workspace) bindShared(in *model.Instance) {
 	if ws.dualFn == nil {
 		ws.dualFn = func(i int) error {
 			s := ws.slots[i]
-			if ws.dirty != nil && !ws.dirty[s.t][s.n] && s.fixed && ws.opts == s.lastOpts {
-				// The caller certifies the μ row is unchanged and the last
-				// solve was a bitwise fixed point: re-solving would
-				// reproduce s.y and ws.objs[i] exactly. Keep both.
-				mSlotSkips.Inc()
-				return nil
-			}
 			var muRow []float64
 			if ws.mu != nil && ws.mu[s.t] != nil {
 				muRow = ws.mu[s.t][s.n]
@@ -216,13 +184,12 @@ func (ws *Workspace) bindShared(in *model.Instance) {
 // whose plane inputs (demand plane, ω vectors, dimensions) are bitwise
 // unchanged keeps its entire coefficient precompute — w, ŵ, A, the
 // Lipschitz constant, the greedy order, the compact gather — instead of
-// re-deriving it. With carry set, the slot also keeps its dual iterate as
-// the warm start for the new window's first dual iteration (an
-// accuracy-level choice; core.Workspace always carries); otherwise
-// iterates reset to zero exactly like Bind. Slots that enter the
-// window, change shape, or fail the bitwise comparison take the full bind
-// path, so a wrong advance degrades to correctness, never to corruption.
-func (ws *Workspace) BindAdvance(in *model.Instance, advance int, carry bool) {
+// re-deriving it, and keeps its dual iterate as the warm start for the new
+// window's first dual iteration. Slots that enter the window, change
+// shape, or fail the bitwise comparison take the full bind path (zero
+// iterate), so a wrong advance degrades to correctness, never to
+// corruption.
+func (ws *Workspace) BindAdvance(in *model.Instance, advance int) {
 	prev := ws.in
 	if advance <= 0 || prev == nil || prev.N != in.N || advance >= prev.T ||
 		len(ws.slots) != prev.T*prev.N {
@@ -261,7 +228,7 @@ func (ws *Workspace) BindAdvance(in *model.Instance, advance int, carry bool) {
 		for sbs := 0; sbs < n; sbs++ {
 			s := ws.slots[t*n+sbs]
 			if t < overlap {
-				s.bindReuse(ws, in, t, sbs, carry)
+				s.bindReuse(ws, in, t, sbs)
 			} else {
 				s.bind(in, t, sbs, ws.zeros)
 			}
@@ -271,8 +238,10 @@ func (ws *Workspace) BindAdvance(in *model.Instance, advance int, carry bool) {
 
 // bindReuse rebinds a rotated slot for (t, n), keeping the coefficient
 // precompute when the plane inputs are bitwise identical to what the slot
-// already holds and falling back to a full bind otherwise.
-func (s *slotState) bindReuse(ws *Workspace, in *model.Instance, t, n int, carry bool) {
+// already holds and falling back to a full bind otherwise. The dual
+// iterate s.y — that of the same absolute slot, hence of the same active
+// view — stays as the warm start.
+func (s *slotState) bindReuse(ws *Workspace, in *model.Instance, t, n int) {
 	m, k := in.Classes[n], in.K
 	if s.n != n || s.m != m || s.k != k {
 		s.bind(in, t, n, ws.zeros)
@@ -288,23 +257,12 @@ func (s *slotState) bindReuse(ws *Workspace, in *model.Instance, t, n int, carry
 	// Same plane: every λ/ω-derived quantity is still exact. Only the
 	// slot index, the bandwidth and the bound-lifetime aliases refresh.
 	s.t = t
-	if bw := in.BandwidthAt(t, n); bw != s.bw {
-		s.bw = bw
-		s.fixed = false   // different feasible set: the old fixed point is void
-		s.recovOK = false // recovery depends on the knapsack bound
-	}
+	s.bw = in.BandwidthAt(t, n)
 	s.omega = in.OmegaBS[n]
 	s.omegaSBS = in.OmegaSBS[n]
 	s.lo = ws.zeros[:len(s.vlam)]
 	s.mu = nil
 	s.hiActive = false
-	// With carry, s.y (the iterate of the same absolute slot, hence of the
-	// same active view) stays; the fixed-point certificate dies either way
-	// — the caller's μ row for this slot is about to change.
-	if !carry {
-		zero(s.y)
-	}
-	s.fixed = false
 }
 
 // equalFloats reports elementwise float64 equality (==; a NaN anywhere
@@ -350,13 +308,10 @@ func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 
 	s.y = grow(s.y, dim)
 	zero(s.y)
-	s.yOut = grow(s.yOut, dim)
 	s.recovY = grow(s.recovY, dim)
 	s.hi = grow(s.hi, dim)
 	s.mu = nil
 	s.hiActive = false
-	s.fixed = false
-	s.recovOK = false
 
 	// Greedy recovery order: classes by descending ω, stable (ties keep
 	// class-index order) — the permutation of the reference sort.
@@ -526,7 +481,9 @@ func (s *slotState) applyDefaults(opts convex.Options) convex.Options {
 // solveDual runs this slot's warm-started dual solve over the active
 // view, leaving the iterate in s.y for the next iteration, and returns the
 // objective value. FISTA solves run on the dual kernel (kernel.go); other
-// methods on convex.Minimize with the slot's oracles.
+// methods on convex.Minimize with the slot's oracles. Both copy the start
+// point in before their first step and write the final iterate out only
+// on success, so the gathered view serves as start and output at once.
 func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error) {
 	if mu != nil && len(mu) != s.dim {
 		return 0, fmt.Errorf("loadbalance: mu has %d entries, want %d", len(mu), s.dim)
@@ -538,22 +495,18 @@ func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error
 	}
 	s.hiActive = false
 	start := time.Now()
-	out := s.yOut[:len(y)]
 	full := s.applyDefaults(opts).WithDefaults()
 	var res convex.Result
 	var err error
 	if full.Method == convex.FISTA {
-		res, err = s.dualFISTA(y, out, full)
+		res, err = s.dualFISTA(y, y, full)
 	} else {
-		res, err = s.cw.Minimize(s.prob, y, out, full)
+		res, err = s.cw.Minimize(s.prob, y, y, full)
 	}
 	if err != nil {
-		s.fixed = false
 		return 0, err
 	}
-	s.fixed = equalFloats(out, y)
-	s.lastOpts = opts
-	s.scatter(s.y, out)
+	s.scatter(s.y, y)
 	mSlotSolves.Inc()
 	mGradSteps.Add(int64(res.Iterations))
 	mSolveTime.Observe(time.Since(start))
@@ -568,19 +521,6 @@ func (s *slotState) recover(xn []float64, yn [][]float64, opts convex.Options) e
 		s.greedyRecover(xn, yn)
 		return nil
 	}
-	// The recovery solve starts from an all-zero iterate, so its result is
-	// a pure function of (plane, bandwidth, xn, opts): when the placement
-	// row repeats — the common case once the dual iteration has settled,
-	// and guaranteed whenever P1 skipped the SBS — replay the cached
-	// recovY instead of re-minimising.
-	if s.recovOK && opts == s.recovOpts && equalFloats(xn, s.recovX[:s.k]) {
-		mRecReplays.Inc()
-		for m := 0; m < s.m; m++ {
-			copy(yn[m], s.recovY[m*s.k:(m+1)*s.k])
-		}
-		return nil
-	}
-	s.recovOK = false
 	for m := 0; m < s.m; m++ {
 		base := m * s.k
 		for k := 0; k < s.k; k++ {
@@ -605,10 +545,6 @@ func (s *slotState) recover(xn []float64, yn [][]float64, opts convex.Options) e
 	for m := 0; m < s.m; m++ {
 		copy(yn[m], s.recovY[m*s.k:(m+1)*s.k])
 	}
-	s.recovX = grow(s.recovX, s.k)
-	copy(s.recovX, xn)
-	s.recovOpts = opts
-	s.recovOK = true
 	return nil
 }
 
@@ -673,25 +609,6 @@ func (ws *Workspace) SolveDual(ctx context.Context, mu [][][]float64, opts conve
 	return total, nil
 }
 
-// SolveDualDirty is SolveDual with an event-driven dirty list: dirty[t][n]
-// certifies whether slot (t, n)'s effective μ row changed since the
-// previous dual iteration. A clean slot whose last solve was a bitwise
-// fixed point under the same options is skipped outright — determinism
-// guarantees a re-solve would reproduce the identical iterate and
-// objective, so both are kept (DESIGN.md §12). Clean slots without the
-// fixed-point certificate re-solve as usual; a nil dirty list degrades to
-// plain SolveDual. Passing dirty = false for a row whose μ actually moved
-// is a contract violation and yields stale results.
-func (ws *Workspace) SolveDualDirty(ctx context.Context, mu [][][]float64, opts convex.Options, dirty [][]bool) (float64, error) {
-	if dirty != nil && len(dirty) != ws.in.T {
-		return 0, fmt.Errorf("loadbalance: dirty list covers %d slots, want %d", len(dirty), ws.in.T)
-	}
-	ws.dirty = dirty
-	total, err := ws.SolveDual(ctx, mu, opts)
-	ws.dirty = nil
-	return total, err
-}
-
 // Invalidate discards the workspace's binding: the next Bind or
 // BindAdvance rebuilds every per-slot state from scratch instead of
 // rotating or reusing it. Callers use it when the bound state may be
@@ -711,13 +628,12 @@ func (ws *Workspace) ExportIterates() [][]float64 {
 }
 
 // ImportIterates loads previously exported dual iterates into a freshly
-// bound workspace (restore path): iterate values are taken verbatim, the
-// fixed-point certificates stay dead (the next bind kills them on the
-// live path too, so restored and uninterrupted workspaces are
-// indistinguishable to the solver). Iterates come from outside the
-// program, so one with a nonzero entry at a λ = 0 coordinate — a state no
-// solve can produce, and one the active view would silently carry — is
-// rejected.
+// bound workspace (restore path): iterate values are taken verbatim, and
+// the iterates are the only dual state a solve reads, so restored and
+// uninterrupted workspaces are indistinguishable to the solver. Iterates
+// come from outside the program, so one with a nonzero entry at a λ = 0
+// coordinate — a state no solve can produce, and one the active view
+// would silently carry — is rejected.
 func (ws *Workspace) ImportIterates(y [][]float64) error {
 	if len(y) != len(ws.slots) {
 		return fmt.Errorf("loadbalance: %d iterates for %d slots", len(y), len(ws.slots))
@@ -734,7 +650,6 @@ func (ws *Workspace) ImportIterates(y [][]float64) error {
 	}
 	for i, s := range ws.slots {
 		copy(s.y[:s.dim], y[i])
-		s.fixed = false
 	}
 	return nil
 }

@@ -317,7 +317,7 @@ func TestRandomAgainstLP(t *testing.T) {
 // late dual iteration) and full re-randomisations — routes exactly the
 // same per-arc flows at the same cost as a freshly built graph. SetCost
 // runs while the graph still holds the previous round's flow, in the order
-// caching.Workspace.SolveAllRows uses: SetCost, Reset, Solve.
+// caching.Workspace.SolveAll uses: SetCost, Reset, Solve.
 func TestResolveMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 21))
 	const nodes = 12

@@ -28,11 +28,11 @@ import (
 //     re-inject already-fired solver faults.
 //
 //   - Results-neutral solver state is recomputed instead of carried: the
-//     P1 flow networks, the recovery memoisation and the fixed-point
-//     certificates are bit-exact caches that the next solve rebuilds to
-//     identical values (the PR 8 incremental-path contract), and the
-//     forecaster needs no state of its own because every shipped
-//     Forecaster is a pure function of the (snapshotted) demand tensor.
+//     P1 flow networks are rebuilt by the next bind and re-solved from
+//     scratch in every dual iteration, so they hold nothing a later solve
+//     reads, and the forecaster needs no state of its own because every
+//     shipped Forecaster is a pure function of the (snapshotted) demand
+//     tensor.
 //
 // The snapshot is plain data: any encoding that keeps float64 values
 // exactly restores it (package serve's durable store writes a binary
