@@ -64,12 +64,15 @@ bench:
 # BENCH_THRESHOLD percent — or its allocs/op more than
 # BENCH_ALLOC_THRESHOLD percent, with zero-alloc baselines held to
 # exactly zero — against the tracked baseline suite (DESIGN.md §8, §12).
-# Run `make bench` first to record the current suite. The `incremental`
-# suite in BENCH_2026-08-08.json re-anchors the baseline after the
-# per-kernel bench split: it adds the delta-aware re-solve pairs
-# (BenchmarkWarmWindowSolve_*, BenchmarkMCFlow_Resolve,
-# BenchmarkP1_DualSweep, BenchmarkP2_DualSweep/dirty), several of which
-# record 0 allocs/op steady states the alloc gate now enforces.
+# Run `make bench` first to record the current suite. The baseline is
+# the `incremental` suite of BENCH_2026-08-08.json. It still times the
+# window-solve pair (BenchmarkWarmWindowSolve_{Cold,Incremental}), the
+# from-scratch kernel rows (BenchmarkMCFlow_Resolve/fresh,
+# BenchmarkP1_DualSweep/fresh, BenchmarkP2_DualSweep/reused) and the
+# figure, controller and substrate rows, and the alloc gate holds its
+# zero-alloc rows at zero. Its rows for deleted code
+# (BenchmarkMCFlow_Resolve/incremental, BenchmarkP1_DualSweep/incremental,
+# BenchmarkP2_DualSweep/dirty and /fresh) show in the diff as removed.
 BENCH_BASELINE ?= BENCH_2026-08-08.json
 BENCH_BASELINE_LABEL ?= incremental
 BENCH_THRESHOLD ?= 15
@@ -94,12 +97,13 @@ cover:
 	$(GO) test -short -cover ./...
 
 # Short fuzzing bursts over the numerical substrates, the differential
-# solver cross-checks (solvers vs the exact oracle and the trajectory
-# auditor), the durable store's snapshot and WAL decoders and instance
-# validation (seed corpora live in each package's testdata/fuzz or in its
-# f.Add calls).
+# solver cross-checks (the P2 dual kernel vs the generic convex path,
+# solvers vs the exact oracle and the trajectory auditor), the durable
+# store's snapshot and WAL decoders and instance validation (seed corpora
+# live in each package's testdata/fuzz or in its f.Add calls).
 fuzz:
 	$(GO) test -fuzz FuzzBoxKnapsack -fuzztime 30s ./internal/projection
+	$(GO) test -fuzz FuzzDualKernel -fuzztime 30s ./internal/loadbalance
 	$(GO) test -fuzz FuzzSolve -fuzztime 30s ./internal/lp
 	$(GO) test -fuzz FuzzDifferentialOffline -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzDifferentialOnline -fuzztime 30s ./internal/online

@@ -6,6 +6,7 @@ package edgecache_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -16,11 +17,15 @@ import (
 	"edgecache/internal/trace"
 )
 
-// serveEnvelope drives a CHC(6,3) controller over the 2-SBS, 8-class,
-// K=30, 30-slot topology of the serve-chc benchmark workload through its
-// public Ingest/Tick API, and returns the envelope it would publish with
-// slot 20 open.
-func serveEnvelope(b *testing.B) *serve.Envelope {
+// chcConfig is the serve-chc workload's controller: CHC(6,3) with the
+// estimator floor off.
+var chcConfig = serve.Config{Online: online.CHC(6, 3), EstimatorFloor: -1}
+
+// serveCHC opens a controller under cfg on the 2-SBS, 8-class, K=30, 30-slot topology of
+// the serve-chc benchmark workload and drives it through its public
+// Ingest/Tick API until slot 20 is open; with book, slot 20's reports are
+// booked too. It returns the controller and its instance.
+func serveCHC(b *testing.B, cfg serve.Config, book bool) (*serve.Controller, *model.Instance) {
 	b.Helper()
 	in, _, err := edgecache.NewScenario(2, 30, 8, 30).
 		WithCache(4).WithBandwidth(20).WithBeta(50).WithJitter(0.4).WithSeed(1).Build()
@@ -29,27 +34,38 @@ func serveEnvelope(b *testing.B) *serve.Envelope {
 	}
 	tr := trace.Generate(in.Demand, 1)
 	ctx := context.Background()
-	c, err := serve.New(ctx, in, serve.Config{Online: online.CHC(6, 3), EstimatorFloor: -1})
+	c, err := serve.Open(ctx, in, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for slot := 0; slot < 20; slot++ {
+	for slot := 0; slot <= 20; slot++ {
 		for n := 0; n < tr.N(); n++ {
 			var batch []serve.Request
 			for _, r := range tr.Slot(slot, n) {
 				batch = append(batch, serve.Request{SBS: r.SBS, Class: r.Class, Content: r.Content})
 			}
-			if len(batch) == 0 {
+			if len(batch) == 0 || slot == 20 && !book {
 				continue
 			}
 			if _, err := c.Ingest(batch); err != nil {
 				b.Fatal(err)
 			}
 		}
+		if slot == 20 {
+			break
+		}
 		if _, err := c.Tick(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return c, in
+}
+
+// serveEnvelope returns the envelope an in-memory serveCHC controller
+// would publish with slot 20 open.
+func serveEnvelope(b *testing.B) *serve.Envelope {
+	b.Helper()
+	c, _ := serveCHC(b, chcConfig, false)
 	return c.Snapshot()
 }
 
@@ -79,6 +95,49 @@ func BenchmarkServe_SnapshotLoad(b *testing.B) {
 		if _, err := serve.LoadSnapshot(path); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkServe_CloseSlot times one warm-start Tick of a durable
+// serve-chc-shaped controller under FsyncOff: the close of slot 20 with
+// its reports booked (the window solves, combine and round), the fsynced
+// WAL close marker and the generation publish. Each op reopens a fresh
+// copy of the state dir left by serveCHC outside the timer, so every op
+// closes the same slot from the same warm state.
+func BenchmarkServe_CloseSlot(b *testing.B) {
+	root := b.TempDir()
+	cfg := chcConfig
+	cfg.StateDir, cfg.WALFsync = filepath.Join(root, "template"), serve.FsyncOff
+	c, in := serveCHC(b, cfg, true)
+	if err := c.Close(); err != nil {
+		b.Fatal(err)
+	}
+	template := os.DirFS(cfg.StateDir)
+	cfg.StateDir = filepath.Join(root, "op")
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := os.RemoveAll(cfg.StateDir); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.CopyFS(cfg.StateDir, template); err != nil {
+			b.Fatal(err)
+		}
+		c, err := serve.Open(ctx, in, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := c.Tick(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 

@@ -39,6 +39,13 @@ var (
 	mSlotSolves = obs.Default.Counter("loadbalance.p2_solves")
 	mGradSteps  = obs.Default.Counter("loadbalance.p2_gradient_steps")
 	mSolveTime  = obs.Default.Timer("loadbalance.p2_solve")
+
+	// The dual kernel's pin certificate (kernel.go): view coordinates of
+	// its solves, those held out of the iteration as priced out, and the
+	// solves that reran over the full view when the certificate broke.
+	mViewCoords   = obs.Default.Counter("loadbalance.p2_view_coords")
+	mPinnedCoords = obs.Default.Counter("loadbalance.p2_pinned_coords")
+	mPinFallbacks = obs.Default.Counter("loadbalance.p2_pin_fallbacks")
 )
 
 // SlotProblem is P2 for one (SBS, slot) pair over M·K coordinates.

@@ -98,10 +98,15 @@ type slotState struct {
 	muC, yC            []float64 // μ and iterate gather buffers
 
 	// Solvers: the dual kernel (dualFISTA) and its scratch for FISTA dual
-	// solves, the generic convex path for recovery and other methods.
-	kx, ky, kt, kraw []float64
-	prob             convex.Problem
-	cw               convex.Workspace
+	// solves, the generic convex path for recovery and other methods. The
+	// kernel's live gather (kernel.go) holds the view positions a solve
+	// iterates over and their coefficients, sized to the view on the
+	// slot's first pin.
+	kx, ky, kt, kraw   []float64
+	live               []int
+	lamL, wL, whL, muL []float64
+	prob               convex.Problem
+	cw                 convex.Workspace
 }
 
 // NewWorkspace returns an empty workspace; Bind prepares it for an
@@ -359,8 +364,14 @@ func (s *slotState) gather(buf, src []float64) []float64 {
 	if s.dense {
 		return src
 	}
-	buf = buf[:len(s.act)]
-	for i, j := range s.act {
+	return gatherAt(buf, src, s.act)
+}
+
+// gatherAt copies src at the positions idx into buf (len(buf) ≥ len(idx))
+// and returns the filled prefix.
+func gatherAt(buf, src []float64, idx []int) []float64 {
+	buf = buf[:len(idx)]
+	for i, j := range idx {
 		buf[i] = src[j]
 	}
 	return buf

@@ -2,6 +2,7 @@ package loadbalance
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -122,7 +123,7 @@ func TestWorkspaceDualMatchesReference(t *testing.T) {
 // genericDual runs slot s's dual solve through convex.Workspace.Minimize
 // over the slot's view — the path the dual kernel replaces — from the
 // slot's current iterate, leaving the iterate untouched.
-func genericDual(t *testing.T, s *slotState, mu []float64, opts convex.Options) ([]float64, float64, int) {
+func genericDual(t testing.TB, s *slotState, mu []float64, opts convex.Options) ([]float64, float64, int) {
 	t.Helper()
 	x0 := append([]float64(nil), s.gather(s.yC, s.y)...)
 	s.mu = nil
@@ -144,7 +145,8 @@ func genericDual(t *testing.T, s *slotState, mu []float64, opts convex.Options) 
 // projection and one tight enough that the bisection fallback runs. Each
 // warm-started iteration must match the generic convex path bit for bit
 // (iterate, objective and gradient-step count) and the reference
-// SlotProblem.Solve sweep value for value.
+// SlotProblem.Solve sweep value for value. Then pinRounds drives the pin
+// certificate on the same planes.
 func TestDualKernelMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		sbsCost, bandwidth float64
@@ -234,6 +236,7 @@ func TestDualKernelMatchesReference(t *testing.T) {
 		if tight := c.bandwidth == 1; tight != (binding > 0) {
 			t.Fatalf("%+v: %d binding slot solves, want them exactly on the tight bandwidth", c, binding)
 		}
+		pinRounds(t, fmt.Sprintf("%+v", c), ws, rng, opts)
 	}
 }
 
