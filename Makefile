@@ -72,7 +72,8 @@ bench:
 # figure, controller and substrate rows, and the alloc gate holds its
 # zero-alloc rows at zero. Its rows for deleted code
 # (BenchmarkMCFlow_Resolve/incremental, BenchmarkP1_DualSweep/incremental,
-# BenchmarkP2_DualSweep/dirty and /fresh) show in the diff as removed.
+# BenchmarkP2_DualSweep/dirty and /fresh, BenchmarkP2_FISTAvsPGD/fista
+# and /pgd) show in the diff as removed.
 BENCH_BASELINE ?= BENCH_2026-08-08.json
 BENCH_BASELINE_LABEL ?= incremental
 BENCH_THRESHOLD ?= 15

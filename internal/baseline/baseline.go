@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 
-	"edgecache/internal/convex"
 	"edgecache/internal/loadbalance"
 	"edgecache/internal/model"
 	"edgecache/internal/parallel"
@@ -50,8 +49,6 @@ type ScoreCaching struct {
 	// paper's LRFU), 1 accumulates demand forever (LFU), in-between gives
 	// exponentially smoothed recency/frequency ranking.
 	Decay float64
-	// Convex configures the load-split solves.
-	Convex convex.Options
 }
 
 // NewLRFU returns the paper's §V-A baseline.
@@ -96,16 +93,13 @@ func (s *ScoreCaching) Plan(ctx context.Context, in *model.Instance) (model.Traj
 		}
 		placements[t] = x
 	}
-	return completeWithOptimalLoad(ctx, in, placements, s.Convex)
+	return completeWithOptimalLoad(ctx, in, placements)
 }
 
 // StaticTop caches the top-C_n contents by average demand over the whole
 // horizon and never replaces them: the zero-replacement-cost extreme,
 // useful as an ablation anchor against the dynamic policies.
-type StaticTop struct {
-	// Convex configures the load-split solves.
-	Convex convex.Options
-}
+type StaticTop struct{}
 
 // Name implements Policy.
 func (*StaticTop) Name() string { return "StaticTop" }
@@ -133,7 +127,7 @@ func (s *StaticTop) Plan(ctx context.Context, in *model.Instance) (model.Traject
 	for t := range placements {
 		placements[t] = x
 	}
-	return completeWithOptimalLoad(ctx, in, placements, s.Convex)
+	return completeWithOptimalLoad(ctx, in, placements)
 }
 
 // NoCaching serves everything from the BS: the x = y = 0 null policy whose
@@ -182,10 +176,10 @@ func topK(scores []float64, k int) []int {
 
 // completeWithOptimalLoad fills each slot's load split with the optimum
 // for its placement.
-func completeWithOptimalLoad(ctx context.Context, in *model.Instance, placements []model.CachePlan, opts convex.Options) (model.Trajectory, error) {
+func completeWithOptimalLoad(ctx context.Context, in *model.Instance, placements []model.CachePlan) (model.Trajectory, error) {
 	traj := make(model.Trajectory, in.T)
 	err := parallel.For(ctx, in.T, 0, func(t int) error {
-		y, err := loadbalance.OptimalGivenPlacement(in, t, placements[t], opts)
+		y, err := loadbalance.OptimalGivenPlacement(in, t, placements[t])
 		if err != nil {
 			return fmt.Errorf("baseline: slot %d: %w", t, err)
 		}

@@ -1,11 +1,11 @@
-// Package convex implements first-order methods for smooth convex
-// minimisation over a simple convex set given by a projection oracle:
+// Package convex implements FISTA (Beck & Teboulle) with adaptive restart
+// for smooth convex minimisation over a simple convex set given by a
+// projection oracle:
 //
 //	minimize F(x)  subject to  x ∈ Ω,
 //
-// with F convex and L-smooth. It provides plain projected gradient descent
-// and its accelerated variant FISTA (Beck & Teboulle) with backtracking
-// line search and adaptive restart.
+// with F convex and L-smooth for a known L. Every step is the fixed step
+// 1/L: one gradient and one projection.
 //
 // In this repository the solver handles the load-balancing subproblem P2
 // (eq. 19): F is the quadratic operating cost f_t + g_t plus the linear
@@ -21,31 +21,6 @@ import (
 	"edgecache/internal/mat"
 )
 
-// Method selects the iteration scheme.
-type Method int
-
-const (
-	// FISTA is accelerated projected gradient with adaptive restart — the
-	// default and the right choice for the ill-conditioned rank-one-plus-
-	// linear quadratics of P2.
-	FISTA Method = iota + 1
-	// PGD is plain projected gradient descent, kept as the ablation
-	// baseline (BenchmarkP2_FISTAvsPGD).
-	PGD
-)
-
-// String names the method.
-func (m Method) String() string {
-	switch m {
-	case FISTA:
-		return "fista"
-	case PGD:
-		return "pgd"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
 // Problem bundles the oracles of one minimisation.
 type Problem struct {
 	// Func returns F(x).
@@ -56,37 +31,34 @@ type Problem struct {
 	// returns dst; dst may alias z. It must be a true projection (firmly
 	// non-expansive) for the convergence guarantees to hold.
 	Project func(dst, z []float64) ([]float64, error)
-}
-
-// Options tune a solve; the zero value selects defaults.
-type Options struct {
-	// Method defaults to FISTA.
-	Method Method
-	// MaxIter defaults to 2000.
-	MaxIter int
-	// StepTol stops the iteration when the step size drops below
-	// StepTol·(1+‖x‖). Default 1e-9.
-	StepTol float64
-	// Lipschitz, when positive, fixes the step to 1/Lipschitz and disables
-	// backtracking. P2 supplies its exact smoothness constant, making each
-	// iteration a single gradient + projection.
+	// Lipschitz is a smoothness constant L of F: ∇F is L-Lipschitz. The
+	// step is 1/L. P2 supplies its exact constant.
 	Lipschitz float64
 }
 
-// WithDefaults returns o with every zero (or out-of-range) field replaced
-// by the default Minimize applies.
-func (o Options) WithDefaults() Options {
-	if o.Method == 0 {
-		o.Method = FISTA
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 2000
-	}
-	if o.StepTol <= 0 {
-		o.StepTol = 1e-9
-	}
-	return o
+// Options bound a solve. Both fields must be positive; there are no
+// defaults at this layer.
+type Options struct {
+	// MaxIter caps the gradient steps.
+	MaxIter int
+	// StepTol stops the iteration when the step size drops below
+	// StepTol·(1+‖x‖).
+	StepTol float64
 }
+
+// Validate reports whether o bounds a solve: MaxIter > 0 and StepTol a
+// finite positive value.
+func (o Options) Validate() error {
+	if o.MaxIter <= 0 {
+		return fmt.Errorf("convex: MaxIter = %d, want > 0", o.MaxIter)
+	}
+	if !finitePositive(o.StepTol) {
+		return fmt.Errorf("convex: StepTol = %g, want finite and > 0", o.StepTol)
+	}
+	return nil
+}
+
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Result reports the final iterate.
 type Result struct {
@@ -99,19 +71,6 @@ type Result struct {
 	// Converged reports whether the step-size criterion was met before
 	// MaxIter.
 	Converged bool
-}
-
-// Minimize runs the selected method from x0 (which must be feasible or at
-// least projectable) and returns the final iterate. The only error sources
-// are an invalid configuration and a failing projection oracle.
-func Minimize(p Problem, x0 []float64, opts Options) (*Result, error) {
-	var ws Workspace
-	out := make([]float64, len(x0))
-	res, err := ws.Minimize(p, x0, out, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
 }
 
 // Workspace owns the iterate and scratch buffers of a solve so that
@@ -132,22 +91,22 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Minimize is the workspace form of the package-level Minimize: scratch
-// comes from ws and the final iterate is written into out (len(out) ==
-// len(x0); out may alias x0), which the returned Result aliases as X. It
-// performs the exact float64 operation sequence of the allocating path —
-// buffer rotation replaces the per-iteration copies, and when
-// Options.Lipschitz fixes the step the objective value at the extrapolated
-// point, which only the backtracking test consumes, is not evaluated at
-// all. On error the Result is meaningless.
+// Minimize runs FISTA from x0 (which must be feasible or at least
+// projectable) and writes the final iterate into out (len(out) ==
+// len(x0); out may alias x0), which the returned Result aliases as X.
+// Scratch comes from ws. The error sources are an invalid problem or
+// options and a failing projection oracle; on error the Result is
+// meaningless.
 func (ws *Workspace) Minimize(p Problem, x0, out []float64, opts Options) (Result, error) {
 	var res Result
 	if p.Func == nil || p.Grad == nil || p.Project == nil {
 		return res, errors.New("convex: Problem requires Func, Grad and Project")
 	}
-	opts = opts.WithDefaults()
-	if opts.Method != FISTA && opts.Method != PGD {
-		return res, fmt.Errorf("convex: unknown method %d", int(opts.Method))
+	if !finitePositive(p.Lipschitz) {
+		return res, fmt.Errorf("convex: Lipschitz = %g, want finite and > 0", p.Lipschitz)
+	}
+	if err := opts.Validate(); err != nil {
+		return res, err
 	}
 	n := len(x0)
 	if len(out) != n {
@@ -165,52 +124,19 @@ func (ws *Workspace) Minimize(p Problem, x0, out []float64, opts Options) (Resul
 	if _, err := p.Project(x, x); err != nil {
 		return res, fmt.Errorf("convex: projecting start point: %w", err)
 	}
-	// y is the extrapolated point (equals x for PGD). xPrev and trial hold
-	// stale data until the first iteration overwrites them.
+	// y is the extrapolated point. xPrev and trial hold stale data until
+	// the first iteration overwrites them.
 	copy(y, x)
 
-	// Backtracking state: L grows by ×2 on failure, shrinks by ×0.9 across
-	// iterations to re-probe longer steps.
-	l := opts.Lipschitz
-	backtrack := l <= 0
-	if backtrack {
-		l = 1
-	}
-
 	tk := 1.0
-	var fy float64
-	if backtrack {
-		fy = p.Func(y)
-	}
 	fxPrev := math.Inf(1)
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		res.Iterations = iter + 1
 		p.Grad(y, grad)
-
-		// Find a step satisfying the sufficient-decrease (majorisation)
-		// condition F(x⁺) ≤ F(y) + ⟨∇F(y), x⁺−y⟩ + L/2·‖x⁺−y‖².
-		for {
-			copy(trial, y)
-			mat.Axpy(-1/l, grad, trial)
-			if _, err := p.Project(trial, trial); err != nil {
-				return res, fmt.Errorf("convex: projection failed at iteration %d: %w", iter, err)
-			}
-			if !backtrack {
-				break
-			}
-			var lin, sq float64
-			for i := range trial {
-				d := trial[i] - y[i]
-				lin += grad[i] * d
-				sq += d * d
-			}
-			if p.Func(trial) <= fy+lin+0.5*l*sq+1e-12*(1+math.Abs(fy)) {
-				break
-			}
-			l *= 2
-			if l > 1e18 {
-				return res, errors.New("convex: backtracking failed (non-smooth objective?)")
-			}
+		copy(trial, y)
+		mat.Axpy(-1/p.Lipschitz, grad, trial)
+		if _, err := p.Project(trial, trial); err != nil {
+			return res, fmt.Errorf("convex: projection failed at iteration %d: %w", iter, err)
 		}
 
 		step := mat.Dist2(trial, x)
@@ -219,30 +145,22 @@ func (ws *Workspace) Minimize(p Problem, x0, out []float64, opts Options) (Resul
 		// (fully overwritten before any read).
 		xPrev, x, trial = x, trial, xPrev
 
-		if opts.Method == PGD {
+		// Function-value adaptive restart (O'Donoghue & Candès): FISTA is
+		// non-monotone, and when the objective rises the momentum is
+		// overshooting — drop it.
+		fx := p.Func(x)
+		if fx > fxPrev {
+			tk = 1
 			copy(y, x)
 		} else {
-			// Function-value adaptive restart (O'Donoghue & Candès): FISTA
-			// is non-monotone, and when the objective rises the momentum is
-			// overshooting — drop it.
-			fx := p.Func(x)
-			if fx > fxPrev {
-				tk = 1
-				copy(y, x)
-			} else {
-				tNext := 0.5 * (1 + math.Sqrt(1+4*tk*tk))
-				beta := (tk - 1) / tNext
-				for i := range y {
-					y[i] = x[i] + beta*(x[i]-xPrev[i])
-				}
-				tk = tNext
+			tNext := 0.5 * (1 + math.Sqrt(1+4*tk*tk))
+			beta := (tk - 1) / tNext
+			for i := range y {
+				y[i] = x[i] + beta*(x[i]-xPrev[i])
 			}
-			fxPrev = fx
+			tk = tNext
 		}
-		if backtrack {
-			fy = p.Func(y)
-			l *= 0.9
-		}
+		fxPrev = fx
 		if step <= opts.StepTol*(1+mat.Norm2(x)) {
 			res.Converged = true
 			break

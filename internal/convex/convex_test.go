@@ -21,7 +21,8 @@ func boxProject(n int) func(dst, z []float64) ([]float64, error) {
 	}
 }
 
-// quadratic builds F(x) = ½ xᵀQx + bᵀx for a dense symmetric PSD Q.
+// quadratic builds F(x) = ½ xᵀQx + bᵀx for a dense symmetric PSD Q. Its
+// gradient is Lipschitz with constant ‖Q‖₂ ≤ ‖Q‖_F, the bound it passes.
 func quadratic(q *mat.Dense, b []float64) Problem {
 	n := len(b)
 	tmp := make([]float64, n)
@@ -34,8 +35,19 @@ func quadratic(q *mat.Dense, b []float64) Problem {
 			q.MulVec(x, grad)
 			mat.Axpy(1, b, grad)
 		},
-		Project: boxProject(n),
+		Project:   boxProject(n),
+		Lipschitz: mat.Norm2(q.Data),
 	}
+}
+
+// defaults are the standalone P2 settings, a budget every problem here
+// converges within.
+var defaults = Options{MaxIter: 3000, StepTol: 1e-10}
+
+// minimize solves p from x0 in a fresh workspace.
+func minimize(p Problem, x0 []float64, opts Options) (Result, error) {
+	var ws Workspace
+	return ws.Minimize(p, x0, make([]float64, len(x0)), opts)
 }
 
 // randomPSD builds Q = AᵀA + εI with entries of A standard normal.
@@ -75,33 +87,33 @@ func TestSeparableQuadraticClosedForm(t *testing.T) {
 				g[i] = 2 * (x[i] - c[i])
 			}
 		},
-		Project: boxProject(n),
+		Project:   boxProject(n),
+		Lipschitz: 2,
 	}
-	for _, method := range []Method{FISTA, PGD} {
-		res, err := Minimize(p, make([]float64, n), Options{Method: method})
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
+	res, err := minimize(p, make([]float64, n), defaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{0, 0.3, 1}
+	for i := range want {
+		if math.Abs(res.X[i]-want[i]) > 1e-6 {
+			t.Fatalf("X = %v, want %v", res.X, want)
 		}
-		want := []float64{0, 0.3, 1}
-		for i := range want {
-			if math.Abs(res.X[i]-want[i]) > 1e-6 {
-				t.Fatalf("%v: X = %v, want %v", method, res.X, want)
-			}
-		}
-		if !res.Converged {
-			t.Fatalf("%v: did not converge", method)
-		}
+	}
+	if !res.Converged {
+		t.Fatal("did not converge")
 	}
 }
 
 func TestFixedLipschitzStep(t *testing.T) {
 	c := []float64{0.5}
 	p := Problem{
-		Func:    func(x []float64) float64 { return (x[0] - c[0]) * (x[0] - c[0]) },
-		Grad:    func(x, g []float64) { g[0] = 2 * (x[0] - c[0]) },
-		Project: boxProject(1),
+		Func:      func(x []float64) float64 { return (x[0] - c[0]) * (x[0] - c[0]) },
+		Grad:      func(x, g []float64) { g[0] = 2 * (x[0] - c[0]) },
+		Project:   boxProject(1),
+		Lipschitz: 2,
 	}
-	res, err := Minimize(p, []float64{0}, Options{Lipschitz: 2})
+	res, err := minimize(p, []float64{0}, defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +155,7 @@ func TestRandomQuadraticsSatisfyKKT(t *testing.T) {
 		}
 		p := quadratic(q, b)
 		x0 := make([]float64, n)
-		res, err := Minimize(p, x0, Options{MaxIter: 5000, StepTol: 1e-12})
+		res, err := minimize(p, x0, Options{MaxIter: 5000, StepTol: 1e-12})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -151,30 +163,6 @@ func TestRandomQuadraticsSatisfyKKT(t *testing.T) {
 		p.Grad(res.X, g)
 		if r := kktResidual(res.X, g); r > 1e-4 {
 			t.Fatalf("trial %d: KKT residual %g", trial, r)
-		}
-	}
-}
-
-func TestFISTAMatchesPGD(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 10))
-	for trial := 0; trial < 10; trial++ {
-		n := 3 + rng.IntN(5)
-		q := randomPSD(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		p := quadratic(q, b)
-		fast, err := Minimize(p, make([]float64, n), Options{Method: FISTA, MaxIter: 8000, StepTol: 1e-12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := Minimize(p, make([]float64, n), Options{Method: PGD, MaxIter: 20000, StepTol: 1e-12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(fast.Value-slow.Value) > 1e-5*(1+math.Abs(slow.Value)) {
-			t.Fatalf("trial %d: FISTA %g vs PGD %g", trial, fast.Value, slow.Value)
 		}
 	}
 }
@@ -196,8 +184,9 @@ func TestKnapsackConstrainedQuadratic(t *testing.T) {
 		Project: func(dst, z []float64) ([]float64, error) {
 			return projection.BoxKnapsack(dst, z, lo, hi, c, 1)
 		},
+		Lipschitz: 2,
 	}
-	res, err := Minimize(p, make([]float64, n), Options{})
+	res, err := minimize(p, make([]float64, n), defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,85 +196,52 @@ func TestKnapsackConstrainedQuadratic(t *testing.T) {
 }
 
 func TestMinimizeValidation(t *testing.T) {
-	if _, err := Minimize(Problem{}, []float64{0}, Options{}); err == nil {
+	if _, err := minimize(Problem{Lipschitz: 1}, []float64{0}, defaults); err == nil {
 		t.Fatal("accepted nil oracles")
 	}
 	p := Problem{
-		Func:    func(x []float64) float64 { return 0 },
-		Grad:    func(x, g []float64) {},
-		Project: boxProject(1),
+		Func:      func(x []float64) float64 { return 0 },
+		Grad:      func(x, g []float64) {},
+		Project:   boxProject(1),
+		Lipschitz: 1,
 	}
-	if _, err := Minimize(p, []float64{0}, Options{Method: Method(99)}); err == nil {
-		t.Fatal("accepted unknown method")
+	if _, err := minimize(p, []float64{0}, defaults); err != nil {
+		t.Fatalf("rejected a valid solve: %v", err)
 	}
-}
-
-func TestMethodString(t *testing.T) {
-	if FISTA.String() != "fista" || PGD.String() != "pgd" {
-		t.Fatal("Method.String mismatch")
+	for _, lip := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		bad := p
+		bad.Lipschitz = lip
+		if _, err := minimize(bad, []float64{0}, defaults); err == nil {
+			t.Errorf("accepted Lipschitz %v", lip)
+		}
 	}
-	if got := Method(42).String(); got != "Method(42)" {
-		t.Fatalf("String = %q", got)
+	for _, opts := range []Options{
+		{MaxIter: 0, StepTol: 1e-10},
+		{MaxIter: -1, StepTol: 1e-10},
+		{MaxIter: 3000, StepTol: 0},
+		{MaxIter: 3000, StepTol: -1e-10},
+		{MaxIter: 3000, StepTol: math.NaN()},
+		{MaxIter: 3000, StepTol: math.Inf(1)},
+	} {
+		if _, err := minimize(p, []float64{0}, opts); err == nil {
+			t.Errorf("accepted %+v", opts)
+		}
 	}
 }
 
 func TestInfeasibleStartIsProjected(t *testing.T) {
 	p := Problem{
-		Func:    func(x []float64) float64 { return x[0] * x[0] },
-		Grad:    func(x, g []float64) { g[0] = 2 * x[0] },
-		Project: boxProject(1),
+		Func:      func(x []float64) float64 { return x[0] * x[0] },
+		Grad:      func(x, g []float64) { g[0] = 2 * x[0] },
+		Project:   boxProject(1),
+		Lipschitz: 2,
 	}
-	res, err := Minimize(p, []float64{17}, Options{})
+	res, err := minimize(p, []float64{17}, defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.X[0]) > 1e-7 {
 		t.Fatalf("X = %v, want 0", res.X)
-	}
-}
-
-// TestWorkspaceMinimizeMatchesPackage pins the reusable-workspace solver to
-// the package-level entry point: identical iterates, values and iteration
-// counts on random quadratics, for both methods and with buffer reuse
-// across differently-sized problems.
-func TestWorkspaceMinimizeMatchesPackage(t *testing.T) {
-	r := rand.New(rand.NewPCG(41, 42))
-	var ws Workspace
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + r.IntN(12)
-		q := randomPSD(r, n)
-		b := make([]float64, n)
-		x0 := make([]float64, n)
-		for i := range b {
-			b[i] = r.NormFloat64()
-			x0[i] = r.Float64()
-		}
-		p := quadratic(q, b)
-		opts := Options{MaxIter: 400, StepTol: 1e-10}
-		if trial%2 == 1 {
-			opts.Method = PGD
-		}
-		want, err := Minimize(p, x0, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, n)
-		got, err := ws.Minimize(p, x0, out, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Value != want.Value || got.Iterations != want.Iterations || got.Converged != want.Converged {
-			t.Fatalf("trial %d: workspace result (%v, %d, %v) != package (%v, %d, %v)",
-				trial, got.Value, got.Iterations, got.Converged, want.Value, want.Iterations, want.Converged)
-		}
-		for i := range out {
-			if out[i] != want.X[i] {
-				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, out[i], want.X[i])
-			}
-		}
-		if &got.X[0] != &out[0] {
-			t.Fatalf("trial %d: workspace result does not alias the out buffer", trial)
-		}
 	}
 }
 
@@ -321,7 +277,7 @@ func TestWorkspaceMinimizeZeroAllocs(t *testing.T) {
 func TestWorkspaceMinimizeValidatesOut(t *testing.T) {
 	p := quadratic(randomPSD(rand.New(rand.NewPCG(1, 2)), 3), []float64{1, 1, 1})
 	var ws Workspace
-	if _, err := ws.Minimize(p, []float64{0, 0, 0}, make([]float64, 2), Options{}); err == nil {
+	if _, err := ws.Minimize(p, []float64{0, 0, 0}, make([]float64, 2), defaults); err == nil {
 		t.Fatal("Workspace.Minimize accepted a short out buffer")
 	}
 }

@@ -71,8 +71,6 @@ type Options struct {
 	// (default: auto — twice the mean per-coordinate BS cost gradient at
 	// y = 0, a problem-size-independent calibration).
 	StepScale float64
-	// Convex configures the inner P2 solves.
-	Convex convex.Options
 	// InitialMu warm-starts the dual multipliers (shape [T][N][M_n·K]);
 	// nil starts from zero. Receding-horizon controllers pass the shifted
 	// multipliers of the previous window, which typically cuts the
@@ -115,16 +113,13 @@ func (o Options) withDefaults() Options {
 	if o.StallIter == 0 {
 		o.StallIter = 8
 	}
-	// Inner P2 solves happen hundreds of times per outer iteration; a
-	// relative accuracy far below the duality gap is wasted work.
-	if o.Convex.StepTol == 0 {
-		o.Convex.StepTol = 1e-6
-	}
-	if o.Convex.MaxIter == 0 {
-		o.Convex.MaxIter = 600
-	}
 	return o
 }
+
+// p2Settings bound Algorithm 1's inner P2 solves, dual and recovery alike.
+// They happen hundreds of times per outer iteration; a relative accuracy
+// far below the duality gap is wasted work.
+var p2Settings = convex.Options{MaxIter: 600, StepTol: 1e-6}
 
 // Result is the outcome of an offline solve. A cancelled or deadline-
 // expired solve returns the best-so-far Result alongside the wrapped
@@ -234,7 +229,7 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 	// gap that the subgradient never closes, while the seed is near-optimal
 	// at both β extremes (myopic top-C at β = 0, near-static as β → ∞).
 	if seed, err := ws.linearizedPlacements(ctx, in); err == nil {
-		if traj, err := ws.p2.Recover(ctx, seed, opts.Convex); err == nil {
+		if traj, err := ws.p2.Recover(ctx, seed, p2Settings); err == nil {
 			if br := in.TotalCost(traj); br.Total < best {
 				best = br.Total
 				res.Trajectory = traj
@@ -288,7 +283,7 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 		p2Span := batch.Child("loadbalance")
 		p2Span.Set("iter", l)
 		p2Start := time.Now()
-		objP2, err := ws.p2.SolveDual(ctx, mu, opts.Convex)
+		objP2, err := ws.p2.SolveDual(ctx, mu, p2Settings)
 		p2Span.End()
 		if err != nil {
 			return partialOnCtx(ctx, partial), fmt.Errorf("core: iteration %d: %w", l, err)
@@ -305,7 +300,7 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 		recSpan := batch.Child("recover")
 		recSpan.Set("iter", l)
 		recStart := time.Now()
-		traj, err := ws.p2.Recover(ctx, xPlans, opts.Convex)
+		traj, err := ws.p2.Recover(ctx, xPlans, p2Settings)
 		recSpan.End()
 		if err != nil {
 			return partialOnCtx(ctx, partial), fmt.Errorf("core: iteration %d: %w", l, err)

@@ -69,9 +69,9 @@ type kcoords struct {
 
 // dualFISTA minimises the dual-iteration slot objective from x0 (the
 // gathered warm start) and writes the final iterate into out — the Result
-// of convex.Workspace.Minimize with s.prob, bit for bit. opts must carry
-// Method FISTA and the defaults of both layers already applied. out may
-// alias x0: it is written only once the solve has succeeded.
+// of convex.Workspace.Minimize with s.prob, bit for bit. opts must be
+// checked already. out may alias x0: it is written only once the solve
+// has succeeded.
 func (s *slotState) dualFISTA(x0, out []float64, opts convex.Options) (convex.Result, error) {
 	k := s.pin(x0)
 	res, held, err := s.fista(&k, x0, opts)
@@ -161,7 +161,7 @@ func (s *slotState) fista(k *kcoords, x0 []float64, opts convex.Options) (res co
 		vy = mat.Dot(k.wh, y)
 	}
 
-	alpha := -1 / opts.Lipschitz
+	alpha := -1 / s.prob.Lipschitz
 	// ‖x‖ ≤ √dim ≤ dim on the unit box, so no step above this bound can
 	// meet the stopping rule StepTol·(1+‖x‖).
 	normFree := opts.StepTol * (1 + float64(n))

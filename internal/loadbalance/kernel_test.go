@@ -79,7 +79,7 @@ func pinRounds(t *testing.T, name string, ws *Workspace, rng *rand.Rand, opts co
 				case draw == 0:
 					mu[j] = pricedOut(rng, 2*s.a, w)
 				case extrapolate:
-					mu[j] = 2*s.a*w + s.lip*(0.2+0.2*rng.Float64())
+					mu[j] = 2*s.a*w + s.prob.Lipschitz*(0.2+0.2*rng.Float64())
 					s.y[j] = 1
 				case draw == 1:
 					mu[j] = pricedOut(rng, 2*s.a, w)

@@ -118,10 +118,36 @@ func (p *SlotProblem) OperatingCosts(y []float64) (f, g float64) {
 	return (a - u) * (a - u), v * v
 }
 
+// standalone is the P2 setting of solves outside Algorithm 1:
+// OptimalGivenPlacement, and every solve whose options are left zero.
+var standalone = convex.Options{MaxIter: 3000, StepTol: 1e-10}
+
+// withDefaults fills the zero fields of opts from standalone and checks
+// the result.
+func withDefaults(opts convex.Options) (convex.Options, error) {
+	if opts.MaxIter == 0 {
+		opts.MaxIter = standalone.MaxIter
+	}
+	if opts.StepTol == 0 {
+		opts.StepTol = standalone.StepTol
+	}
+	return opts, opts.Validate()
+}
+
+// lipschitz is the exact smoothness constant 2(‖w‖² + ‖ŵ‖²) of the slot
+// objective: the two rank-one quadratics; the linear term contributes
+// nothing. It is clamped away from zero for the fully degenerate
+// (all-weights-zero) case, where any step converges.
+func lipschitz(w, wh []float64) float64 {
+	nw := mat.Norm2(w)
+	nh := mat.Norm2(wh)
+	return math.Max(2*(nw*nw+nh*nh), 1e-9)
+}
+
 // Solve minimises the slot objective to tolerance and returns the optimal
 // y (length M·K) and its objective value. start, when non-nil, warm-starts
-// the iteration (it is projected onto the feasible set first); the
-// primal-dual loop passes the previous iterate to cut solve time sharply.
+// the iteration (it is projected onto the feasible set first). Zero fields
+// of opts take the standalone setting (MaxIter 3000, StepTol 1e-10).
 func (p *SlotProblem) Solve(start []float64, opts convex.Options) ([]float64, float64, error) {
 	if err := p.validate(); err != nil {
 		return nil, 0, err
@@ -129,6 +155,10 @@ func (p *SlotProblem) Solve(start []float64, opts convex.Options) ([]float64, fl
 	n := p.M * p.K
 	if start != nil && len(start) != n {
 		return nil, 0, fmt.Errorf("loadbalance: start has %d entries, want %d", len(start), n)
+	}
+	opts, err := withDefaults(opts)
+	if err != nil {
+		return nil, 0, fmt.Errorf("loadbalance: %w", err)
 	}
 
 	// Precompute w, ŵ and A.
@@ -182,21 +212,7 @@ func (p *SlotProblem) Solve(start []float64, opts convex.Options) ([]float64, fl
 		Project: func(dst, z []float64) ([]float64, error) {
 			return projection.BoxKnapsack(dst, z, lo, hi, p.Lambda, p.Bandwidth)
 		},
-	}
-
-	if opts.Lipschitz <= 0 {
-		// Exact smoothness constant of the two rank-one quadratics; the
-		// linear term contributes nothing. Clamp away zero for the fully
-		// degenerate (all-weights-zero) case, where any step converges.
-		nw := mat.Norm2(w)
-		nh := mat.Norm2(wh)
-		opts.Lipschitz = math.Max(2*(nw*nw+nh*nh), 1e-9)
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 3000
-	}
-	if opts.StepTol == 0 {
-		opts.StepTol = 1e-10
+		Lipschitz: lipschitz(w, wh),
 	}
 
 	x0 := start
@@ -204,7 +220,8 @@ func (p *SlotProblem) Solve(start []float64, opts convex.Options) ([]float64, fl
 		x0 = make([]float64, n)
 	}
 	solveStart := time.Now()
-	res, err := convex.Minimize(prob, x0, opts)
+	var cw convex.Workspace
+	res, err := cw.Minimize(prob, x0, make([]float64, n), opts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("loadbalance: %w", err)
 	}
@@ -238,8 +255,9 @@ func ForInstance(in *model.Instance, t, n int, mu, upper []float64) *SlotProblem
 // When every ŵ_m is zero (the paper's headline setup) the objective
 // reduces to (A − Σ w_i y_i)², which is minimised by maximising the served
 // weighted load — an exact fractional knapsack solved greedily by the
-// ratio w_i/λ_i = ω_m. Otherwise the FISTA path is used.
-func OptimalGivenPlacement(in *model.Instance, t int, x model.CachePlan, opts convex.Options) (model.LoadPlan, error) {
+// ratio w_i/λ_i = ω_m. Otherwise the FISTA path is used, at the
+// standalone setting.
+func OptimalGivenPlacement(in *model.Instance, t int, x model.CachePlan) (model.LoadPlan, error) {
 	y := model.NewLoadPlan(in.Classes, in.K)
 	for n := 0; n < in.N; n++ {
 		if allZero(in.OmegaSBS[n]) {
@@ -251,7 +269,7 @@ func OptimalGivenPlacement(in *model.Instance, t int, x model.CachePlan, opts co
 			copy(upper[m*in.K:(m+1)*in.K], x[n])
 		}
 		sp := ForInstance(in, t, n, nil, upper)
-		sol, _, err := sp.Solve(nil, opts)
+		sol, _, err := sp.Solve(nil, standalone)
 		if err != nil {
 			return nil, fmt.Errorf("loadbalance: slot %d SBS %d: %w", t, n, err)
 		}

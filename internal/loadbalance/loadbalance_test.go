@@ -223,7 +223,7 @@ func TestOptimalGivenPlacementRespectsCoupling(t *testing.T) {
 	x := model.NewCachePlan(in.N, in.K)
 	x[0][0] = 1
 	x[0][3] = 1
-	y, err := OptimalGivenPlacement(in, 0, x, convex.Options{})
+	y, err := OptimalGivenPlacement(in, 0, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestMoreCacheNeverHurts(t *testing.T) {
 	two[0][1] = 1
 
 	cost := func(x model.CachePlan) float64 {
-		y, err := OptimalGivenPlacement(in, 0, x, convex.Options{})
+		y, err := OptimalGivenPlacement(in, 0, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestGreedyMatchesFISTA(t *testing.T) {
 	x[0][0], x[0][2], x[0][4] = 1, 1, 1
 
 	// Greedy path (ŵ = 0 in paperInstance).
-	yGreedy, err := OptimalGivenPlacement(in, 0, x, convex.Options{})
+	yGreedy, err := OptimalGivenPlacement(in, 0, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +305,69 @@ func TestGreedyMatchesFISTA(t *testing.T) {
 	}
 	if err := in.CheckSlot(0, model.SlotDecision{X: x, Y: yGreedy}, 1e-6); err != nil {
 		t.Fatalf("greedy split infeasible: %v", err)
+	}
+}
+
+// TestOptimalGivenPlacementSettings pins the standalone P2 setting: with
+// nonzero SBS weights (the FISTA path, not the greedy one),
+// OptimalGivenPlacement must equal SlotProblem.Solve at MaxIter 3000 and
+// StepTol 1e-10 bit for bit. The fixture caches every content, so the
+// optimum is interior, and it is one where StepTol a decade either side
+// stops some solve at a different iterate: the test tells them apart.
+func TestOptimalGivenPlacementSettings(t *testing.T) {
+	in := paperInstance(t, func(cfg *workload.InstanceConfig) {
+		cfg.N = 2
+		cfg.K = 20
+		cfg.OmegaSBSRatio = 1
+	})
+	x := model.NewCachePlan(in.N, in.K)
+	for n := 0; n < in.N; n++ {
+		if allZero(in.OmegaSBS[n]) {
+			t.Fatalf("SBS %d has zero SBS weights: the greedy path would run", n)
+		}
+		for k := range x[n] {
+			x[n][k] = 1
+		}
+	}
+	// solve is OptimalGivenPlacement's slot solve at the given StepTol.
+	solve := func(tt, n int, stepTol float64) []float64 {
+		upper := make([]float64, in.Classes[n]*in.K)
+		for m := 0; m < in.Classes[n]; m++ {
+			copy(upper[m*in.K:(m+1)*in.K], x[n])
+		}
+		y, _, err := ForInstance(in, tt, n, nil, upper).Solve(nil, convex.Options{MaxIter: 3000, StepTol: stepTol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return y
+	}
+	differs := map[float64]bool{}
+	for tt := 0; tt < in.T; tt++ {
+		got, err := OptimalGivenPlacement(in, tt, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < in.N; n++ {
+			want := solve(tt, n, 1e-10)
+			for m := 0; m < in.Classes[n]; m++ {
+				for k := 0; k < in.K; k++ {
+					g, i := got[n][m][k], m*in.K+k
+					if math.Float64bits(g) != math.Float64bits(want[i]) {
+						t.Fatalf("slot %d SBS %d y[%d][%d] = %v, want %v", tt, n, m, k, g, want[i])
+					}
+				}
+			}
+			for _, tol := range []float64{1e-9, 1e-11} {
+				for i, v := range solve(tt, n, tol) {
+					differs[tol] = differs[tol] || math.Float64bits(v) != math.Float64bits(want[i])
+				}
+			}
+		}
+	}
+	for _, tol := range []float64{1e-9, 1e-11} {
+		if !differs[tol] {
+			t.Errorf("StepTol %g gives the same splits as 1e-10: the fixture does not pin the setting", tol)
+		}
 	}
 }
 

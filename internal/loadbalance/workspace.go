@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -64,7 +63,6 @@ type slotState struct {
 
 	w, wh  []float64 // ω_m λ_i and ŵ_m λ_i
 	a      float64   // A = Σ w
-	lip    float64   // exact smoothness constant 2(‖w‖²+‖ŵ‖²)
 	whZero bool      // ŵ ≡ 0: skip the v-terms (bit-exact; see gradFunc)
 	greedy bool      // OmegaSBS[n] ≡ 0: recovery takes the greedy path
 	order  []int     // classes by descending ω (stable) for the greedy
@@ -97,11 +95,12 @@ type slotState struct {
 	lamC, wC, whC, hiC []float64 // their gather buffers on compact planes
 	muC, yC            []float64 // μ and iterate gather buffers
 
-	// Solvers: the dual kernel (dualFISTA) and its scratch for FISTA dual
-	// solves, the generic convex path for recovery and other methods. The
-	// kernel's live gather (kernel.go) holds the view positions a solve
-	// iterates over and their coefficients, sized to the view on the
-	// slot's first pin.
+	// Solvers: the dual kernel (dualFISTA) and its scratch for dual
+	// solves, the generic convex path for recovery. The kernel's live
+	// gather (kernel.go) holds the view positions a solve iterates over
+	// and their coefficients, sized to the view on the slot's first pin.
+	// prob carries the slot's oracles and its exact Lipschitz constant,
+	// which the kernel's step uses too.
 	kx, ky, kt, kraw   []float64
 	live               []int
 	lamL, wL, whL, muL []float64
@@ -305,9 +304,6 @@ func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 		}
 	}
 	s.a = a
-	nw := mat.Norm2(s.w)
-	nh := mat.Norm2(s.wh)
-	s.lip = math.Max(2*(nw*nw+nh*nh), 1e-9)
 	s.whZero = allZero(s.wh)
 	s.greedy = allZero(in.OmegaSBS[n])
 
@@ -356,6 +352,7 @@ func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 	if s.prob.Func == nil {
 		s.prob = convex.Problem{Func: s.objFunc, Grad: s.gradFunc, Project: s.projFunc}
 	}
+	s.prob.Lipschitz = lipschitz(s.w, s.wh)
 }
 
 // gather returns src over the active view: src itself on a dense plane,
@@ -475,26 +472,12 @@ func (s *slotState) projFunc(dst, z []float64) ([]float64, error) {
 	return projection.UnitBoxKnapsack(dst, z, s.vlam, s.bw)
 }
 
-// applyDefaults mirrors SlotProblem.Solve's per-call option defaulting.
-func (s *slotState) applyDefaults(opts convex.Options) convex.Options {
-	if opts.Lipschitz <= 0 {
-		opts.Lipschitz = s.lip
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 3000
-	}
-	if opts.StepTol == 0 {
-		opts.StepTol = 1e-10
-	}
-	return opts
-}
-
 // solveDual runs this slot's warm-started dual solve over the active
-// view, leaving the iterate in s.y for the next iteration, and returns the
-// objective value. FISTA solves run on the dual kernel (kernel.go); other
-// methods on convex.Minimize with the slot's oracles. Both copy the start
-// point in before their first step and write the final iterate out only
-// on success, so the gathered view serves as start and output at once.
+// view on the dual kernel (kernel.go), leaving the iterate in s.y for the
+// next iteration, and returns the objective value. The kernel copies the
+// start point in before its first step and writes the final iterate out
+// only on success, so the gathered view serves as start and output at
+// once. opts is already checked.
 func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error) {
 	if mu != nil && len(mu) != s.dim {
 		return 0, fmt.Errorf("loadbalance: mu has %d entries, want %d", len(mu), s.dim)
@@ -506,14 +489,7 @@ func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error
 	}
 	s.hiActive = false
 	start := time.Now()
-	full := s.applyDefaults(opts).WithDefaults()
-	var res convex.Result
-	var err error
-	if full.Method == convex.FISTA {
-		res, err = s.dualFISTA(y, y, full)
-	} else {
-		res, err = s.cw.Minimize(s.prob, y, y, full)
-	}
+	res, err := s.dualFISTA(y, y, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -544,7 +520,7 @@ func (s *slotState) recover(xn []float64, yn [][]float64, opts convex.Options) e
 	zero(s.recovY)
 	y := s.gather(s.yC, s.recovY)
 	start := time.Now()
-	res, err := s.cw.Minimize(s.prob, y, y, s.applyDefaults(opts))
+	res, err := s.cw.Minimize(s.prob, y, y, opts)
 	s.hiActive = false
 	if err != nil {
 		return err
@@ -590,15 +566,21 @@ func (s *slotState) greedyRecover(xn []float64, yn [][]float64) {
 // started from the previous iteration's iterate — as a flat work list on
 // the shared worker pool, and returns the total objective Σ_t Σ_n
 // accumulated in the sequential reference order. mu may be nil (zero
-// duals); its rows are read but never retained. Iterates stay inside the
-// workspace: read them with DualY or materialise plans with ExportPlans.
+// duals); its rows are read but never retained. Zero fields of opts take
+// the standalone setting, as in SlotProblem.Solve. Iterates stay inside
+// the workspace: read them with DualY or materialise plans with
+// ExportPlans.
 func (ws *Workspace) SolveDual(ctx context.Context, mu [][][]float64, opts convex.Options) (float64, error) {
 	if mu != nil && len(mu) != ws.in.T {
 		return 0, fmt.Errorf("loadbalance: mu covers %d slots, want %d", len(mu), ws.in.T)
 	}
+	opts, err := withDefaults(opts)
+	if err != nil {
+		return 0, fmt.Errorf("loadbalance: %w", err)
+	}
 	ws.mu = mu
 	ws.opts = opts
-	err := parallel.For(ctx, len(ws.slots), 0, ws.dualFn)
+	err = parallel.For(ctx, len(ws.slots), 0, ws.dualFn)
 	ws.mu = nil
 	if err != nil {
 		// A bare dispatch-time cancellation from parallel.For needs the
@@ -691,19 +673,24 @@ func (ws *Workspace) ExportPlans() []model.LoadPlan {
 
 // Recover completes integral placements into a feasible trajectory — the
 // UB evaluation of Algorithm 1 — solving the (t, n) recovery subproblems
-// on the shared pool. The returned trajectory owns freshly allocated
-// plans; the dual iterates are untouched.
+// on the shared pool. Zero fields of opts take the standalone setting.
+// The returned trajectory owns freshly allocated plans; the dual iterates
+// are untouched.
 func (ws *Workspace) Recover(ctx context.Context, xPlans []model.CachePlan, opts convex.Options) (model.Trajectory, error) {
 	in := ws.in
 	if len(xPlans) != in.T {
 		return nil, fmt.Errorf("loadbalance: %d placements for horizon %d", len(xPlans), in.T)
+	}
+	opts, err := withDefaults(opts)
+	if err != nil {
+		return nil, fmt.Errorf("loadbalance: %w", err)
 	}
 	traj := make(model.Trajectory, in.T)
 	for t := range traj {
 		traj[t] = model.SlotDecision{X: xPlans[t].Clone(), Y: model.NewLoadPlan(in.Classes, in.K)}
 	}
 	ws.recX, ws.recTraj, ws.opts = xPlans, traj, opts
-	err := parallel.For(ctx, len(ws.slots), 0, ws.recFn)
+	err = parallel.For(ctx, len(ws.slots), 0, ws.recFn)
 	ws.recX, ws.recTraj = nil, nil
 	if err != nil {
 		return nil, err

@@ -131,7 +131,11 @@ func genericDual(t testing.TB, s *slotState, mu []float64, opts convex.Options) 
 		s.mu = s.gather(s.muC, mu)
 	}
 	var cw convex.Workspace
-	res, err := cw.Minimize(s.prob, x0, make([]float64, len(x0)), s.applyDefaults(opts))
+	opts, err := withDefaults(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cw.Minimize(s.prob, x0, make([]float64, len(x0)), opts)
 	s.mu = nil
 	if err != nil {
 		t.Fatal(err)
@@ -293,12 +297,14 @@ func TestWorkspaceRecoverMatchesReference(t *testing.T) {
 			}
 		}
 
-		traj, err := ws.Recover(context.Background(), xPlans, opts)
+		// OptimalGivenPlacement solves at the standalone setting, which
+		// zero options select.
+		traj, err := ws.Recover(context.Background(), xPlans, convex.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for tt := 0; tt < in.T; tt++ {
-			wantY, err := OptimalGivenPlacement(in, tt, xPlans[tt], opts)
+			wantY, err := OptimalGivenPlacement(in, tt, xPlans[tt])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -101,7 +101,7 @@ func (c *combiner) commit(t int) (model.SlotDecision, error) {
 	var bwRepaired int
 	if cfg.LoadMode == LoadReactive {
 		var err error
-		y, err = reactiveLoad(in, t, x, cfg)
+		y, err = reactiveLoad(in, t, x)
 		if err != nil {
 			return model.SlotDecision{}, err
 		}

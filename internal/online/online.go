@@ -530,8 +530,8 @@ func predictedLoad(in *model.Instance, t int, x model.CachePlan, avgY model.Load
 
 // reactiveLoad recomputes the optimal split for the committed placement
 // against realised demand.
-func reactiveLoad(in *model.Instance, t int, x model.CachePlan, cfg Config) (model.LoadPlan, error) {
-	y, err := loadbalance.OptimalGivenPlacement(in, t, x, cfg.Core.Convex)
+func reactiveLoad(in *model.Instance, t int, x model.CachePlan) (model.LoadPlan, error) {
+	y, err := loadbalance.OptimalGivenPlacement(in, t, x)
 	if err != nil {
 		return nil, fmt.Errorf("online: reactive load at slot %d: %w", t, err)
 	}

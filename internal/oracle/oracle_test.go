@@ -83,7 +83,7 @@ func exhaustiveOptimum(t *testing.T, in *model.Instance) float64 {
 		splits[tt] = make(map[int]model.LoadPlan, len(joint))
 		splitCost[tt] = make(map[int]float64, len(joint))
 		for si, x := range joint {
-			y, err := loadbalance.OptimalGivenPlacement(in, tt, x, convex.Options{})
+			y, err := loadbalance.OptimalGivenPlacement(in, tt, x)
 			if err != nil {
 				t.Fatalf("slot %d state %d: %v", tt, si, err)
 			}

@@ -277,17 +277,6 @@ type Config struct {
 	Curves bool
 }
 
-// Run plans with the policy, verifies feasibility, and accounts costs.
-func Run(ctx context.Context, in *model.Instance, pred workload.Forecaster, p Policy) (*Result, error) {
-	return RunWith(ctx, in, pred, p, Config{})
-}
-
-// RunObserved is Run with telemetry threaded into the policy's solvers;
-// a nil handle makes it identical to Run.
-func RunObserved(ctx context.Context, in *model.Instance, pred workload.Forecaster, p Policy, tel *obs.Telemetry) (*Result, error) {
-	return RunWith(ctx, in, pred, p, Config{Telemetry: tel})
-}
-
 // RunWith plans with the policy under the given run configuration,
 // verifies feasibility, and accounts costs. One run_summary event is
 // emitted per evaluated run when telemetry is enabled.

@@ -37,7 +37,7 @@ func testSetup(t *testing.T) (*model.Instance, *workload.Predictor) {
 
 func TestRunBaseline(t *testing.T) {
 	in, pred := testSetup(t)
-	res, err := Run(context.Background(), in, pred, FromBaseline(baseline.NewLRFU()))
+	res, err := RunWith(context.Background(), in, pred, FromBaseline(baseline.NewLRFU()), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestRunBaseline(t *testing.T) {
 
 func TestRunOfflineAndOnline(t *testing.T) {
 	in, pred := testSetup(t)
-	off, err := Run(context.Background(), in, pred, Offline(core.Options{MaxIter: 20}))
+	off, err := RunWith(context.Background(), in, pred, Offline(core.Options{MaxIter: 20}), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := Run(context.Background(), in, pred, Online(online.RHC(4)))
+	on, err := RunWith(context.Background(), in, pred, Online(online.RHC(4)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRunDeterministic(t *testing.T) {
 			// the comparison covers workload generation too.
 			run := func(tel *obs.Telemetry) *Result {
 				in, pred := testSetup(t)
-				res, err := RunObserved(context.Background(), in, pred, pc.mk(), tel)
+				res, err := RunWith(context.Background(), in, pred, pc.mk(), Config{Telemetry: tel})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -183,7 +183,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestOnlineRequiresPredictor(t *testing.T) {
 	in, _ := testSetup(t)
-	if _, err := Run(context.Background(), in, nil, Online(online.RHC(4))); err == nil {
+	if _, err := RunWith(context.Background(), in, nil, Online(online.RHC(4)), Config{}); err == nil {
 		t.Fatal("online policy ran without predictor")
 	}
 }
@@ -191,7 +191,7 @@ func TestOnlineRequiresPredictor(t *testing.T) {
 func TestRunValidatesInstance(t *testing.T) {
 	in, pred := testSetup(t)
 	in.T = 0
-	if _, err := Run(context.Background(), in, pred, FromBaseline(baseline.NoCaching{})); err == nil {
+	if _, err := RunWith(context.Background(), in, pred, FromBaseline(baseline.NoCaching{}), Config{}); err == nil {
 		t.Fatal("Run accepted invalid instance")
 	}
 }
@@ -248,7 +248,7 @@ func TestRunWithAuditCleanRun(t *testing.T) {
 	}
 
 	// Without the flag the report must be absent and the summary unadorned.
-	res2, err := Run(context.Background(), in, pred, Online(online.RHC(4)))
+	res2, err := RunWith(context.Background(), in, pred, Online(online.RHC(4)), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,11 +64,11 @@ func TestSimulateDenseSparseEquivalence(t *testing.T) {
 	}
 	for name, pol := range policies {
 		t.Run(name, func(t *testing.T) {
-			rs, err := Run(context.Background(), inS, predS, pol)
+			rs, err := RunWith(context.Background(), inS, predS, pol, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rd, err := Run(context.Background(), inD, predD, pol)
+			rd, err := RunWith(context.Background(), inD, predD, pol, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

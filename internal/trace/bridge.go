@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"edgecache/internal/convex"
 	"edgecache/internal/loadbalance"
 	"edgecache/internal/model"
 	"edgecache/internal/parallel"
@@ -27,8 +26,6 @@ type PolicyAdapter struct {
 	New Factory
 	// Seed drives trace sampling.
 	Seed uint64
-	// Convex configures the load-split solves.
-	Convex convex.Options
 
 	label string
 }
@@ -71,7 +68,7 @@ func (p *PolicyAdapter) Plan(ctx context.Context, in *model.Instance) (model.Tra
 
 	traj := make(model.Trajectory, in.T)
 	err := parallel.For(ctx, in.T, 0, func(t int) error {
-		y, err := loadbalance.OptimalGivenPlacement(in, t, placements[t], p.Convex)
+		y, err := loadbalance.OptimalGivenPlacement(in, t, placements[t])
 		if err != nil {
 			return fmt.Errorf("trace: slot %d: %w", t, err)
 		}

@@ -58,7 +58,7 @@ const DefaultEstimatorFloor = 1e-9
 // function of truth rows [0, tau) — no hidden accumulator state — so a
 // controller restored from a snapshot of the realised tensor reproduces
 // the exact forecasts of the uninterrupted run, and the batch harness
-// (sim.Run over the completed tensor) reproduces the live service's
+// (sim.RunWith over the completed tensor) reproduces the live service's
 // decisions bit for bit. States per tau are memoised; Predict is safe
 // for concurrent use.
 //
