@@ -66,7 +66,9 @@ bench:
 # exactly zero — against the tracked baseline suite (DESIGN.md §8, §12).
 # Run `make bench` first to record the current suite. The baseline is
 # the `incremental` suite of BENCH_2026-08-08.json. It still times the
-# window-solve pair (BenchmarkWarmWindowSolve_{Cold,Incremental}), the
+# window-solve pair (BenchmarkWarmWindowSolve_{Cold,Incremental}; the
+# baseline's _Incremental row also carried P2 iterates across windows,
+# today's times the μ shift only), the
 # from-scratch kernel rows (BenchmarkMCFlow_Resolve/fresh,
 # BenchmarkP1_DualSweep/fresh, BenchmarkP2_DualSweep/reused) and the
 # figure, controller and substrate rows, and the alloc gate holds its

@@ -73,15 +73,13 @@ func shiftWarmMu(dst, mu [][][]float64, in *model.Instance) [][][]float64 {
 }
 
 // benchWarmWindow solves the full sliding-window sequence once per
-// iteration with a single shared solver workspace. The cold variant is
-// the from-scratch controller step: every window starts with zero
-// multipliers (nil InitialMu) and a full rebind (Advance = 0). The
-// incremental variant is the warm-window steady state: the previous
-// window's μ is shifted onto the overlap, and Advance = 1 rotates
-// per-(t, n) subproblem coefficients and carries the load iterates
-// across windows. Both variants re-solve every (t, n) in every dual
-// iteration; warm starts trade iterations, not correctness
-// (TestSolveAdvanceIncrementalMatchesDisabled).
+// iteration with a single shared solver workspace, which every window
+// rebinds from scratch. The cold variant is the from-scratch controller
+// step: every window starts with zero multipliers (nil InitialMu). The
+// incremental variant times the μ shift, the only cross-window warm
+// start: the previous window's multipliers are shifted onto the overlap.
+// Both variants re-solve every (t, n) in every dual iteration; the warm
+// start trades iterations, not correctness.
 func benchWarmWindow(b *testing.B, cold bool) {
 	wins := warmWindows(b)
 	ws := core.NewWorkspace()
@@ -91,7 +89,6 @@ func benchWarmWindow(b *testing.B, cold bool) {
 		for i, sub := range wins {
 			o := opts
 			if !cold && i > 0 {
-				o.Advance = 1
 				o.InitialMu = warm
 			}
 			res, err := core.Solve(context.Background(), sub, o)

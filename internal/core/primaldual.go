@@ -85,19 +85,10 @@ type Options struct {
 	// Workspace supplies reusable solver state (see NewWorkspace). Nil
 	// allocates a fresh workspace inside Solve. Receding-horizon
 	// controllers pass one workspace across their overlapping window
-	// solves to amortise per-instance precomputation; results are
+	// solves to reuse its buffers; every Solve rebinds it, so results are
 	// bit-identical either way. A workspace must not be shared by
 	// concurrent Solves (SolveSharded therefore ignores this field).
 	Workspace *Workspace
-	// Advance hints that the instance is the previous Solve's window shifted
-	// forward this many slots (receding horizon, same Workspace). Overlapping
-	// slots then keep their P2 coefficient precompute and carry their dual
-	// load iterates as warm starts — the x/y analogue of InitialMu, set by
-	// the online controllers between a version's consecutive windows. The
-	// hint is verified per slot against the actual plane inputs, so a wrong
-	// value degrades to a full rebind, never to corruption. 0 (the default)
-	// rebinds from scratch, resetting all cross-window P2 state.
-	Advance int
 }
 
 func (o Options) withDefaults() Options {
@@ -186,7 +177,7 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	ws.bind(in, opts.Advance)
+	ws.bind(in)
 
 	// μ[t][n] is a flat (class, content) row like the demand layout.
 	mu := make([][][]float64, in.T)

@@ -13,8 +13,11 @@ import (
 // projection scratch, and the dual-reward buffer. Solve binds it to the
 // instance on entry, so one workspace amortises all per-instance
 // precomputation and steady-state allocation across the ~MaxIter dual
-// iterations — and, when carried across calls (Options.Workspace), across
-// the overlapping window solves of a receding-horizon controller.
+// iterations — and, when carried across calls (Options.Workspace), the
+// buffers across the overlapping window solves of a receding-horizon
+// controller. Every Solve rebinds it from scratch, so a reused workspace
+// carries no solver state into the next Solve: results are bit-identical
+// to a fresh workspace's.
 //
 // A workspace serves one Solve at a time; concurrent Solves need separate
 // workspaces.
@@ -29,10 +32,8 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // bind sizes the workspace for an instance, reusing buffers whose capacity
-// suffices. advance > 0 declares the instance to be the previous bind's
-// window shifted forward that many slots (Options.Advance): the P2 bind
-// then rotates its per-slot state and carries iterates for the overlap.
-func (ws *Workspace) bind(in *model.Instance, advance int) {
+// suffices. Nothing of the previous bind's solver state carries over.
+func (ws *Workspace) bind(in *model.Instance) {
 	// The P1 networks prune to each SBS's candidate set — items with
 	// demand somewhere in the window or initially cached. Dual rewards
 	// vanish outside that set (the multiplier of a never-requested,
@@ -52,11 +53,7 @@ func (ws *Workspace) bind(in *model.Instance, advance int) {
 		cands = nil
 	}
 	ws.p1.BindPruned(in, cands)
-	if advance > 0 {
-		ws.p2.BindAdvance(in, advance)
-	} else {
-		ws.p2.Bind(in)
-	}
+	ws.p2.Bind(in)
 	if cap(ws.rewards) < in.T {
 		ws.rewards = make([][][]float64, in.T)
 	} else {
@@ -76,34 +73,6 @@ func (ws *Workspace) bind(in *model.Instance, advance int) {
 			}
 		}
 	}
-}
-
-// Invalidate discards the workspace's bindings so the next Solve rebinds
-// everything from scratch: no advance rotation, no reuse of possibly
-// half-written per-slot state. The online layer calls it when a panic
-// escaped a solve — the bind may have been interrupted midway.
-func (ws *Workspace) Invalidate() {
-	ws.p2.Invalidate()
-}
-
-// ExportP2Iterates deep-copies the P2 dual load iterates — the
-// cross-window warm-start state of the incremental path (Options.Advance),
-// which is the only solver state inside the workspace that affects
-// results across Solve calls. Valid between a Solve and the next bind.
-func (ws *Workspace) ExportP2Iterates() [][]float64 {
-	return ws.p2.ExportIterates()
-}
-
-// RestoreP2 rebinds the P2 state to win — the window instance of the
-// workspace's last bound solve — and loads previously exported iterates,
-// reconstructing the warm-start state an uninterrupted run would carry
-// into its next BindAdvance. The P1 networks stay cold: the next Solve
-// rebinds them and every dual iteration re-solves every SBS, so a
-// restored workspace's subsequent solves reproduce the uninterrupted run
-// exactly.
-func (ws *Workspace) RestoreP2(win *model.Instance, y [][]float64) error {
-	ws.p2.Bind(win)
-	return ws.p2.ImportIterates(y)
 }
 
 // linearizedPlacements computes a heuristic placement trajectory by

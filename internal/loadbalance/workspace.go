@@ -26,21 +26,21 @@ import (
 //
 // Numerics are bit-for-bit identical to the reference path
 // (SlotProblem.Solve / OptimalGivenPlacement): the same float64 operation
-// sequence runs over precomputed inputs, warm starts carry the previous
-// iterate by keeping it in place instead of copying plans, and the total
-// objective is accumulated in the sequential order (per slot over SBSs,
-// then over slots).
+// sequence runs over precomputed inputs, warm starts between dual
+// iterations carry the previous iterate by keeping it in place instead of
+// copying plans, and the total objective is accumulated in the sequential
+// order (per slot over SBSs, then over slots).
 //
 // A workspace is single-solve state: Bind and the solve methods must not
 // be called concurrently, though each solve internally parallelises over
 // its (t, n) grain.
 type Workspace struct {
-	in    *model.Instance
-	slots []*slotState // index t*N + n; pointers so BindAdvance can rotate
-	objs  []float64    // per-slot objectives of the last SolveDual
-	zeros []float64    // shared all-zero lower bound (never written)
-	rot   []*slotState // BindAdvance rotation scratch
-	lam   []float64    // BindAdvance plane-comparison scratch
+	in *model.Instance
+	// slots is indexed t*N + n. Pointers, because each slot's prob holds
+	// method values bound to the slot's address.
+	slots []*slotState
+	objs  []float64 // per-slot objectives of the last SolveDual
+	zeros []float64 // shared all-zero lower bound (never written)
 
 	// per-call bindings for the closure-free dispatch functions
 	mu      [][][]float64
@@ -87,8 +87,8 @@ type slotState struct {
 	// coordinate and is compact, with an empty view.
 	//
 	// The view relies on the invariant that inactive coordinates of y are
-	// exactly 0: bind zeroes them, solves write only active coordinates
-	// back, and ImportIterates rejects iterates that break it.
+	// exactly 0: bind zeroes them and solves write only active coordinates
+	// back.
 	act                []int
 	dense              bool
 	vlam, vw, vwh, vhi []float64 // λ, w, ŵ and recovery bounds over the view
@@ -120,22 +120,11 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // of an FHC version without steady-state allocation. The instance must
 // already be validated.
 func (ws *Workspace) Bind(in *model.Instance) {
-	ws.bindShared(in)
-	for t := 0; t < in.T; t++ {
-		for n := 0; n < in.N; n++ {
-			ws.slots[t*in.N+n].bind(in, t, n, ws.zeros)
-		}
-	}
-}
-
-// bindShared sizes the slot table and shared buffers for in and installs
-// the dispatch closures; per-slot binding is the caller's affair.
-func (ws *Workspace) bindShared(in *model.Instance) {
 	ws.in = in
 	total := in.T * in.N
 	if cap(ws.slots) < total {
 		grown := make([]*slotState, total)
-		copy(grown, ws.slots[:len(ws.slots)])
+		copy(grown, ws.slots)
 		ws.slots = grown
 	} else {
 		ws.slots = ws.slots[:total]
@@ -179,108 +168,12 @@ func (ws *Workspace) bindShared(in *model.Instance) {
 			return nil
 		}
 	}
-}
 
-// BindAdvance rebinds the workspace for the next overlapping window of a
-// receding-horizon run: the new window starts advance slots after the
-// previous one, so new slot (t, n) covers the same absolute slot as old
-// slot (t+advance, n). Slot states rotate by pointer, and a rotated slot
-// whose plane inputs (demand plane, ω vectors, dimensions) are bitwise
-// unchanged keeps its entire coefficient precompute — w, ŵ, A, the
-// Lipschitz constant, the greedy order, the compact gather — instead of
-// re-deriving it, and keeps its dual iterate as the warm start for the new
-// window's first dual iteration. Slots that enter the window, change
-// shape, or fail the bitwise comparison take the full bind path (zero
-// iterate), so a wrong advance degrades to correctness, never to
-// corruption.
-func (ws *Workspace) BindAdvance(in *model.Instance, advance int) {
-	prev := ws.in
-	if advance <= 0 || prev == nil || prev.N != in.N || advance >= prev.T ||
-		len(ws.slots) != prev.T*prev.N {
-		ws.Bind(in)
-		return
-	}
-	n := in.N
-	overlap := prev.T - advance
-	if overlap > in.T {
-		overlap = in.T
-	}
-	total := in.T * n
-	if cap(ws.rot) < total {
-		ws.rot = make([]*slotState, total)
-	} else {
-		ws.rot = ws.rot[:total]
-	}
-	// Overlapping prefix: pull each surviving state forward by advance.
-	for t := 0; t < overlap; t++ {
-		copy(ws.rot[t*n:(t+1)*n], ws.slots[(t+advance)*n:(t+advance+1)*n])
-	}
-	// Fill the tail with the states that rotated out (they rebind fully).
-	spare := ws.slots[:advance*n]
-	for i := overlap * n; i < total; i++ {
-		if len(spare) > 0 {
-			ws.rot[i] = spare[0]
-			spare = spare[1:]
-		} else {
-			ws.rot[i] = new(slotState)
-		}
-	}
-	ws.slots, ws.rot = ws.rot, ws.slots[:0]
-
-	ws.bindShared(in)
 	for t := 0; t < in.T; t++ {
-		for sbs := 0; sbs < n; sbs++ {
-			s := ws.slots[t*n+sbs]
-			if t < overlap {
-				s.bindReuse(ws, in, t, sbs)
-			} else {
-				s.bind(in, t, sbs, ws.zeros)
-			}
+		for n := 0; n < in.N; n++ {
+			ws.slots[t*in.N+n].bind(in, t, n, ws.zeros)
 		}
 	}
-}
-
-// bindReuse rebinds a rotated slot for (t, n), keeping the coefficient
-// precompute when the plane inputs are bitwise identical to what the slot
-// already holds and falling back to a full bind otherwise. The dual
-// iterate s.y — that of the same absolute slot, hence of the same active
-// view — stays as the warm start.
-func (s *slotState) bindReuse(ws *Workspace, in *model.Instance, t, n int) {
-	m, k := in.Classes[n], in.K
-	if s.n != n || s.m != m || s.k != k {
-		s.bind(in, t, n, ws.zeros)
-		return
-	}
-	ws.lam = in.Demand.CopySlot(ws.lam, t, n)
-	if !equalFloats(ws.lam, s.lambda) ||
-		!equalFloats(in.OmegaBS[n], s.omega[:m]) ||
-		!equalFloats(in.OmegaSBS[n], s.omegaSBS[:m]) {
-		s.bind(in, t, n, ws.zeros)
-		return
-	}
-	// Same plane: every λ/ω-derived quantity is still exact. Only the
-	// slot index, the bandwidth and the bound-lifetime aliases refresh.
-	s.t = t
-	s.bw = in.BandwidthAt(t, n)
-	s.omega = in.OmegaBS[n]
-	s.omegaSBS = in.OmegaSBS[n]
-	s.lo = ws.zeros[:len(s.vlam)]
-	s.mu = nil
-	s.hiActive = false
-}
-
-// equalFloats reports elementwise float64 equality (==; a NaN anywhere
-// reads as unequal, which only costs a rebind).
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
@@ -600,51 +493,6 @@ func (ws *Workspace) SolveDual(ctx context.Context, mu [][][]float64, opts conve
 		total += slot
 	}
 	return total, nil
-}
-
-// Invalidate discards the workspace's binding: the next Bind or
-// BindAdvance rebuilds every per-slot state from scratch instead of
-// rotating or reusing it. Callers use it when the bound state may be
-// inconsistent — e.g. a panic interrupted a bind midway.
-func (ws *Workspace) Invalidate() { ws.in = nil }
-
-// ExportIterates returns deep copies of the per-(t, n) dual load
-// iterates, indexed t·N + n — the cross-window warm-start state a
-// snapshot must carry (everything else the next bind recomputes from the
-// instance). Valid only while the workspace is bound.
-func (ws *Workspace) ExportIterates() [][]float64 {
-	y := make([][]float64, len(ws.slots))
-	for i, s := range ws.slots {
-		y[i] = append([]float64(nil), s.y[:s.dim]...)
-	}
-	return y
-}
-
-// ImportIterates loads previously exported dual iterates into a freshly
-// bound workspace (restore path): iterate values are taken verbatim, and
-// the iterates are the only dual state a solve reads, so restored and
-// uninterrupted workspaces are indistinguishable to the solver. Iterates
-// come from outside the program, so one with a nonzero entry at a λ = 0
-// coordinate — a state no solve can produce, and one the active view
-// would silently carry — is rejected.
-func (ws *Workspace) ImportIterates(y [][]float64) error {
-	if len(y) != len(ws.slots) {
-		return fmt.Errorf("loadbalance: %d iterates for %d slots", len(y), len(ws.slots))
-	}
-	for i, s := range ws.slots {
-		if len(y[i]) != s.dim {
-			return fmt.Errorf("loadbalance: iterate %d has %d entries, want %d", i, len(y[i]), s.dim)
-		}
-		for j, v := range y[i] {
-			if v != 0 && s.lambda[j] == 0 {
-				return fmt.Errorf("loadbalance: iterate %d is %g at zero-demand coordinate %d", i, v, j)
-			}
-		}
-	}
-	for i, s := range ws.slots {
-		copy(s.y[:s.dim], y[i])
-	}
-	return nil
 }
 
 // DualY returns the live dual iterate of slot (t, n) as a flat

@@ -358,10 +358,7 @@ func Run(ctx context.Context, in *model.Instance, pred workload.Forecaster, cfg 
 // decision slot tau. Injected panics are routed through the supervised
 // fan-out — the same machinery that guards real worker panics — and an
 // extra recover converts panics escaping core.Solve itself into errors.
-// seam records whether the attempt reached core.Solve (injected faults
-// fail the attempt before the solver ever binds the workspace) and, if it
-// did, whether it panicked out of it.
-func solveOnce(ctx context.Context, win *model.Instance, opts core.Options, armed *fault.Armed, tau int, seam *solveSeam) (*core.Result, error) {
+func solveOnce(ctx context.Context, win *model.Instance, opts core.Options, armed *fault.Armed, tau int) (*core.Result, error) {
 	if injErr, injPanic := armed.Inject(tau); injPanic {
 		err := parallel.ForSupervised(ctx, 1, 1, func(int) error {
 			panic(fmt.Sprintf("fault: injected worker panic at τ=%d", tau))
@@ -370,25 +367,17 @@ func solveOnce(ctx context.Context, win *model.Instance, opts core.Options, arme
 	} else if injErr != nil {
 		return nil, injErr
 	}
-	seam.entered = true
-	sol, err := guardedSolve(ctx, win, opts)
-	var pe *solvePanicError
-	seam.panicked = errors.As(err, &pe)
-	return sol, err
+	return guardedSolve(ctx, win, opts)
 }
 
 // guardedSolve converts a panic anywhere inside the window solve into an
 // error, so one crashing solve degrades its window instead of killing
-// the run. The panic may have interrupted the workspace bind itself, so
-// the workspace is invalidated: the next solve rebinds from scratch
-// instead of advancing half-written state.
+// the run. A panic may leave the workspace half bound; the next solve
+// rebinds it from scratch, so nothing of it is read again.
 func guardedSolve(ctx context.Context, win *model.Instance, opts core.Options) (sol *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if opts.Workspace != nil {
-				opts.Workspace.Invalidate()
-			}
-			sol, err = nil, &solvePanicError{value: r}
+			sol, err = nil, fmt.Errorf("online: window solve panicked: %v", r)
 		}
 	}()
 	return core.Solve(ctx, win, opts)

@@ -8,17 +8,12 @@ import (
 	"edgecache/internal/model"
 )
 
-// TestWorkspaceSeamSurvivesFullyFaultedWindow pins the warm-start seam
-// contract that the pre-refactor controller violated: a window whose
-// every solve attempt is consumed by injected faults never reaches
-// core.Solve, so the solver workspace stays bound to the previous
-// window — and the next window's Options.Advance must be measured from
-// that window, not from the unsolved one. The old code tracked a single
-// prevFrom for both the μ block and the workspace, advanced it
-// unconditionally, and on the next window handed BindAdvance a hint one
-// slot short; on stationary demand the per-slot plane verification
-// cannot catch that, so dual iterates were silently rotated onto the
-// wrong absolute slots.
+// TestWorkspaceSeamSurvivesFullyFaultedWindow pins the μ warm-start
+// seam across a window whose every solve attempt is consumed by injected
+// faults: the window degrades to the fallback, which has no multipliers,
+// so the μ carry must drop rather than shift a stale block onto the next
+// window, and the next solved window must re-anchor the carry at its own
+// slots.
 func TestWorkspaceSeamSurvivesFullyFaultedWindow(t *testing.T) {
 	in, pred := smallInstance(t, nil)
 	cfg, err := RHC(4).withDefaults()
@@ -35,30 +30,23 @@ func TestWorkspaceSeamSurvivesFullyFaultedWindow(t *testing.T) {
 	vs := newVersionState(in, pred, cfg, 0, sched.Arm(), in.EventSlots(), xa, ya)
 	ctx := context.Background()
 
-	// τ = 0 and τ = 1 solve normally: the workspace follows the windows.
+	// τ = 0 and τ = 1 solve normally: the μ carry follows the windows.
 	for want := 0; want <= 1; want++ {
 		if err := vs.step(ctx); err != nil {
 			t.Fatal(err)
-		}
-		if !vs.wsBound || vs.wsFrom != want {
-			t.Fatalf("after τ=%d: wsBound=%v wsFrom=%d, want bound at %d", want, vs.wsBound, vs.wsFrom, want)
 		}
 		if vs.warmMu == nil || vs.muFrom != want {
 			t.Fatalf("after τ=%d: muFrom=%d (warmMu nil: %v), want %d", want, vs.muFrom, vs.warmMu == nil, want)
 		}
 	}
 
-	// τ = 2: all attempts injected, degradation commits the fallback. The
-	// workspace seam must NOT advance (no attempt entered the solver), and
-	// the μ carry must drop (the fallback has no multipliers).
+	// τ = 2: all attempts injected, degradation commits the fallback and
+	// the μ carry drops.
 	if err := vs.step(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if vs.stats.Degraded != 1 || vs.stats.Retries != 2 {
 		t.Fatalf("faulted window: stats = %+v, want 1 degraded / 2 retries", vs.stats)
-	}
-	if !vs.wsBound || vs.wsFrom != 1 {
-		t.Fatalf("faulted window moved the workspace seam: wsBound=%v wsFrom=%d, want bound at 1", vs.wsBound, vs.wsFrom)
 	}
 	if vs.warmMu != nil {
 		t.Fatal("fallback window kept a stale μ carry")
@@ -67,23 +55,23 @@ func TestWorkspaceSeamSurvivesFullyFaultedWindow(t *testing.T) {
 		t.Fatal("faulted window committed nothing")
 	}
 
-	// τ = 3 solves normally again: Advance is measured from wsFrom = 1
-	// (two slots), the solve succeeds, and both seams land on 3.
+	// τ = 3 solves normally again and re-anchors the carry at 3.
 	if err := vs.step(ctx); err != nil {
 		t.Fatal(err)
-	}
-	if !vs.wsBound || vs.wsFrom != 3 || vs.wsTau != 3 {
-		t.Fatalf("recovered window: wsFrom=%d wsTau=%d, want 3/3", vs.wsFrom, vs.wsTau)
 	}
 	if vs.warmMu == nil || vs.muFrom != 3 {
 		t.Fatalf("recovered window: muFrom=%d (warmMu nil: %v), want 3", vs.muFrom, vs.warmMu == nil)
 	}
+	if vs.stats.Degraded != 1 || vs.stats.Solves != 4 {
+		t.Fatalf("recovered window: stats = %+v, want 1 degraded / 4 solves", vs.stats)
+	}
 }
 
-// TestWorkspaceSeamSurvivesInjectedPanics pins the other half of the
-// seam contract: injected worker panics are routed through the parallel
-// supervisor without ever reaching core.Solve, so — like injected
-// errors — they must not move the workspace seam or poison the binding.
+// TestWorkspaceSeamSurvivesInjectedPanics is the panic twin: injected
+// worker panics are routed through the parallel supervisor and surface
+// as errors, so a window whose every attempt panics is retried, degrades
+// to the fallback and drops the μ carry, and the next window solves and
+// re-anchors it.
 func TestWorkspaceSeamSurvivesInjectedPanics(t *testing.T) {
 	in, pred := smallInstance(t, nil)
 	cfg, err := RHC(4).withDefaults()
@@ -102,17 +90,17 @@ func TestWorkspaceSeamSurvivesInjectedPanics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !vs.wsBound || vs.wsFrom != 1 {
-		t.Fatalf("panicked window moved the workspace seam: wsBound=%v wsFrom=%d, want bound at 1", vs.wsBound, vs.wsFrom)
+	if vs.stats.Degraded != 1 || vs.stats.Retries != 2 {
+		t.Fatalf("panicked window: stats = %+v, want 1 degraded / 2 retries", vs.stats)
 	}
-	if vs.stats.Degraded != 1 {
-		t.Fatalf("panicked window: stats = %+v, want 1 degraded", vs.stats)
+	if vs.warmMu != nil {
+		t.Fatal("panicked window kept a stale μ carry")
 	}
 	if err := vs.step(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !vs.wsBound || vs.wsFrom != 3 {
-		t.Fatalf("recovered window: wsFrom=%d, want 3", vs.wsFrom)
+	if vs.warmMu == nil || vs.muFrom != 3 {
+		t.Fatalf("recovered window: muFrom=%d (warmMu nil: %v), want 3", vs.muFrom, vs.warmMu == nil)
 	}
 }
 

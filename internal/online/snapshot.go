@@ -18,21 +18,18 @@ import (
 // What is carried and what deliberately is not:
 //
 //   - Results-affecting cross-window state is carried per version: the μ
-//     multipliers of the last window that produced any, the P2 dual load
-//     iterates of the last window the workspace actually bound (the
-//     cross-window warm starts of Options.Advance), the committed
-//     actions of the open and future slots (a closed slot's actions are
-//     dropped once its decision is in Trajectory), the solve lattice
-//     position τ, and the solver-effort counters. The fault schedule's
-//     consumed attempt budgets ride along so a restored run does not
-//     re-inject already-fired solver faults.
+//     multipliers of the last window that produced any (the only
+//     cross-window warm start), the committed actions of the open and
+//     future slots (a closed slot's actions are dropped once its decision
+//     is in Trajectory), the solve lattice position τ, and the
+//     solver-effort counters. The fault schedule's consumed attempt
+//     budgets ride along so a restored run does not re-inject
+//     already-fired solver faults.
 //
-//   - Results-neutral solver state is recomputed instead of carried: the
-//     P1 flow networks are rebuilt by the next bind and re-solved from
-//     scratch in every dual iteration, so they hold nothing a later solve
-//     reads, and the forecaster needs no state of its own because every
-//     shipped Forecaster is a pure function of the (snapshotted) demand
-//     tensor.
+//   - The solver workspace is not carried: every window solve rebinds it
+//     from scratch, so it holds nothing a later solve reads. The
+//     forecaster needs no state of its own because every shipped
+//     Forecaster is a pure function of the (snapshotted) demand tensor.
 //
 // The snapshot is plain data: any encoding that keeps float64 values
 // exactly restores it (package serve's durable store writes a binary
@@ -78,21 +75,12 @@ type VersionSnapshot struct {
 	Tau         int             `json:"tau"`
 	VirtualPrev model.CachePlan `json:"virtualPrev"`
 
-	// μ warm-start seam.
+	// μ warm start: the multipliers of the last window that produced
+	// any, aligned to absolute slots [MuFrom, MuTo).
 	WarmMu [][][]float64 `json:"warmMu,omitempty"`
 	MuFrom int           `json:"muFrom"`
 	MuTo   int           `json:"muTo"`
 
-	// Workspace seam: the window the solver workspace is bound to, its
-	// decision time and initial plan (enough to reconstruct the identical
-	// window instance via the deterministic forecaster), and the P2 dual
-	// iterates to load into it.
-	WsBound   bool            `json:"wsBound"`
-	WsTau     int             `json:"wsTau"`
-	WsFrom    int             `json:"wsFrom"`
-	WsTo      int             `json:"wsTo"`
-	WsInitial model.CachePlan `json:"wsInitial,omitempty"`
-	Iterates  [][]float64     `json:"iterates,omitempty"`
 	// Committed per-slot actions (absolute slots) and solver-effort
 	// counters. Only the open and future slots carry an action; null =
 	// not yet committed by this version, or already closed.
@@ -131,17 +119,9 @@ func (vs *versionState) snapshot() VersionSnapshot {
 		WarmMu:      cloneMu(vs.warmMu),
 		MuFrom:      vs.muFrom,
 		MuTo:        vs.muTo,
-		WsBound:     vs.wsBound,
-		WsTau:       vs.wsTau,
-		WsFrom:      vs.wsFrom,
-		WsTo:        vs.wsTo,
 		Stats:       vs.stats,
 		XA:          make([]model.CachePlan, len(vs.xa)),
 		YA:          make([]model.LoadPlan, len(vs.ya)),
-	}
-	if vs.wsBound {
-		sn.WsInitial = clonePlan(vs.wsInitial)
-		sn.Iterates = vs.ws.ExportP2Iterates()
 	}
 	for t, x := range vs.xa {
 		if x != nil {
@@ -159,10 +139,8 @@ func (vs *versionState) snapshot() VersionSnapshot {
 // RestoreStream reconstructs a Stream from a snapshot over the same
 // instance, forecaster and configuration the snapshot was taken under.
 // The demand tensor must hold the realised rows of the closed slots
-// (restore re-runs no solves for them, but the forecaster reads the
-// prefix when the restored workspaces' window forecasts are rebuilt, and
-// future windows forecast from it). See StreamSnapshot for the
-// equivalence contract.
+// (restore re-runs no solves for them, but future windows forecast from
+// them). See StreamSnapshot for the equivalence contract.
 func RestoreStream(ctx context.Context, in *model.Instance, pred workload.Forecaster, cfg Config, snap *StreamSnapshot) (*Stream, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -213,12 +191,7 @@ func RestoreStream(ctx context.Context, in *model.Instance, pred workload.Foreca
 	return s, nil
 }
 
-// restore loads one version's snapshot, rebuilding the solver workspace
-// of its last bound window: the window instance is reconstructed from
-// the snapshotted (tau, from, to, initial plan) through the
-// deterministic forecaster, freshly bound, and the carried dual
-// iterates loaded into it — after which the next BindAdvance rotates it
-// exactly as the uninterrupted run's would have.
+// restore loads one version's snapshot.
 //
 // Actions for the closed slots [0, open) are skipped. Generations
 // written before CloseSlot dropped them still carry them, and a
@@ -245,23 +218,6 @@ func (vs *versionState) restore(sn *VersionSnapshot, open int) error {
 			vs.ya[t] = y.Clone()
 		}
 	}
-	if !sn.WsBound {
-		return nil
-	}
-	forecast, err := vs.pred.Predict(sn.WsTau, sn.WsFrom, sn.WsTo)
-	if err != nil {
-		return fmt.Errorf("online: version %d restore forecast: %w", vs.v, err)
-	}
-	win, err := vs.in.Window(sn.WsFrom, sn.WsTo, sn.WsInitial, forecast)
-	if err != nil {
-		return fmt.Errorf("online: version %d restore window: %w", vs.v, err)
-	}
-	if err := vs.ws.RestoreP2(win, sn.Iterates); err != nil {
-		return fmt.Errorf("online: version %d restore workspace: %w", vs.v, err)
-	}
-	vs.wsBound = true
-	vs.wsTau, vs.wsFrom, vs.wsTo = sn.WsTau, sn.WsFrom, sn.WsTo
-	vs.wsInitial = clonePlan(sn.WsInitial)
 	return nil
 }
 

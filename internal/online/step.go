@@ -41,16 +41,11 @@ type VersionStats struct {
 // fault-free runs byte-identical to the pre-fault controller. At an
 // event slot every version replans at the same τ.
 //
-// Two warm-start seams are tracked *separately*, which is the bug fix of
-// this revision: the μ block and the solver workspace do not always come
-// from the same window. A window whose every solve attempt was consumed
-// by injected faults never reaches core.Solve, so the workspace stays
-// bound to an older window; conflating the two (the old single
-// prevFrom/prevTo pair) made the next Options.Advance measure from the
-// unsolved window and silently rotate the P2 iterates onto the wrong
-// absolute slots whenever the demand planes happened to match (stationary
-// workloads). Likewise a window that produced no multipliers (fallback)
-// must drop the μ carry without forgetting where the workspace really is.
+// The one cross-window warm start is the μ block: the multipliers of
+// the last window solve that produced any, shifted onto the next window
+// (shiftMu). A window that produced none (fallback) drops the carry, and
+// the next solved window re-anchors it. The solver workspace is reused
+// for its buffers only; every window solve rebinds it from scratch.
 type versionState struct {
 	in     *model.Instance
 	pred   workload.Forecaster
@@ -75,17 +70,8 @@ type versionState struct {
 	warmMu       [][][]float64
 	muFrom, muTo int
 
-	// Workspace seam: whether ws is bound to a window at all and, if so,
-	// which one — the last window whose solve attempt actually entered
-	// core.Solve without panicking out of it. wsTau/wsInitial record the
-	// decision time and initial plan of that bind so snapshot/restore can
-	// reconstruct the identical window instance.
-	ws        *core.Workspace
-	wsBound   bool
-	wsTau     int
-	wsFrom    int
-	wsTo      int
-	wsInitial model.CachePlan
+	// Solver workspace, reused across the version's window solves.
+	ws *core.Workspace
 }
 
 // newVersionState prepares version v of the controller over in. cfg must
@@ -172,20 +158,6 @@ func (vs *versionState) step(ctx context.Context) error {
 	if vs.warmMu != nil {
 		opts.InitialMu = shiftMu(vs.warmMu, vs.muFrom, vs.muTo, from, to, in)
 	}
-	// Cross-window P2 reuse: declare how far this window slid past the
-	// workspace's *actually bound* window, so overlapping slots keep their
-	// coefficient precompute and carry their dual load iterates. The hint
-	// is verified per slot inside the bind against the demand plane, but
-	// that check cannot distinguish two slots with identical planes
-	// (stationary demand), so the alignment here must be exact: it is
-	// measured from wsFrom — the last window a solve attempt really bound
-	// — never from a window whose attempts were all consumed by injected
-	// faults before reaching the solver.
-	if vs.wsBound && from > vs.wsFrom {
-		opts.Advance = from - vs.wsFrom
-	} else {
-		opts.Advance = 0
-	}
 
 	wctx, wSpan := obs.StartSpan(ctx, "window_solve")
 	wSpan.Set("version", v)
@@ -199,9 +171,8 @@ func (vs *versionState) step(ctx context.Context) error {
 	if cfg.SlotBudget > 0 {
 		solveCtx, cancel = context.WithTimeout(wctx, cfg.SlotBudget)
 	}
-	var seam solveSeam
 	solveStart := time.Now()
-	sol, err := solveWithRetry(solveCtx, win, opts, cfg, vs.armed, v, tau, &vs.stats, &seam)
+	sol, err := solveWithRetry(solveCtx, win, opts, cfg, vs.armed, v, tau, &vs.stats)
 	if cancel != nil {
 		cancel()
 	}
@@ -272,25 +243,11 @@ func (vs *versionState) step(ctx context.Context) error {
 		cfg.Telemetry.Emit("window_solve", fields)
 	}
 
-	// Advance the two warm-start seams independently (the bug fix; see the
-	// type comment). μ: carry only multipliers that exist, aligned to this
-	// window. Workspace: bound to this window iff some attempt entered
-	// core.Solve and the last such attempt did not panic out of it (a
-	// panicking solve poisons the half-bound workspace, which guardedSolve
-	// already invalidated).
+	// Carry only multipliers that exist, aligned to this window.
 	if sol.Mu != nil {
 		vs.warmMu, vs.muFrom, vs.muTo = sol.Mu, from, to
 	} else {
 		vs.warmMu = nil
-	}
-	if seam.entered {
-		if seam.panicked {
-			vs.wsBound = false
-		} else {
-			vs.wsBound = true
-			vs.wsTau, vs.wsFrom, vs.wsTo = tau, from, to
-			vs.wsInitial = vs.virtualPrev
-		}
 	}
 
 	for t := from; t < commitEnd; t++ {
@@ -315,24 +272,6 @@ func (vs *versionState) step(ctx context.Context) error {
 	return nil
 }
 
-// solveSeam records, for one window's retry loop, whether any attempt
-// actually entered core.Solve (fault-injected attempts do not) and
-// whether the last attempt that did panicked out of it — together they
-// determine what the shared workspace is bound to afterwards.
-type solveSeam struct {
-	entered  bool
-	panicked bool
-}
-
-// solvePanicError marks a window solve that panicked inside core.Solve
-// (as opposed to an injected worker panic, which is routed through the
-// supervised fan-out and never reaches the solver).
-type solvePanicError struct{ value any }
-
-func (e *solvePanicError) Error() string {
-	return fmt.Sprintf("online: window solve panicked: %v", e.value)
-}
-
 // solveWithRetry is the per-window solve wrapped in the bounded
 // retry-with-backoff of cfg.Retry, with the schedule's solver faults
 // injected per attempt. Context errors — parent cancellation or slot
@@ -341,12 +280,12 @@ func (e *solvePanicError) Error() string {
 // best-so-far iterate) is returned alongside the error so the
 // degradation ladder can still use it.
 func solveWithRetry(ctx context.Context, win *model.Instance, opts core.Options, cfg Config,
-	armed *fault.Armed, v, tau int, stats *VersionStats, seam *solveSeam) (*core.Result, error) {
+	armed *fault.Armed, v, tau int, stats *VersionStats) (*core.Result, error) {
 
 	var best *core.Result
 	backoff := cfg.Retry.Backoff
 	for attempt := 0; ; attempt++ {
-		sol, err := solveOnce(ctx, win, opts, armed, tau, seam)
+		sol, err := solveOnce(ctx, win, opts, armed, tau)
 		if err == nil {
 			return sol, nil
 		}

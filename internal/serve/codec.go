@@ -17,16 +17,23 @@ import (
 )
 
 // The on-disk format of the durable store (DESIGN.md §14): snapshot
-// generations and WAL frame payloads. This build writes format 3, a
-// binary encoding, and still reads format 2, the JSON encoding earlier
-// builds wrote, so their state directories keep opening.
+// generations and WAL frame payloads. This build writes generation
+// format 4, a binary encoding. It still reads format 3, the same
+// encoding with six more fields per version (the cross-window P2
+// iterate carry earlier builds kept), and format 2, the JSON encoding,
+// so state directories written by earlier builds keep opening.
 //
-// Generation v3:
+// Generation (formats 3 and 4):
 //
 //	"JOCGEN"  varint(FormatVersion)
 //	Envelope fields, then the StreamSnapshot, VersionSnapshot and
 //	VersionStats fields, in declaration order
 //	uint32 LE CRC32C over every preceding byte
+//
+// Format 3 has six more fields between each version's MuTo and XA: a
+// bool (the workspace was bound), three ints (that window's decision
+// time, first and end slot), a floats2 (its initial plan) and a floats2
+// (the per-slot P2 iterates). The decoder checks and drops them.
 //
 // Integers are varints (zig-zag for signed types), strings and slices
 // are length-prefixed. A slice length is written as len+1 with 0 for a
@@ -37,20 +44,25 @@ import (
 // written in ascending key order, so one envelope always encodes to the
 // same bytes; the decoder accepts only what the encoder writes (canonical
 // varints, bools 0 or 1, ascending keys, no trailing bytes), so a
-// generation that decodes re-encodes to exactly its input.
+// format-4 generation that decodes re-encodes to exactly its input.
 //
-// WAL payload v3: the tag byte walTagV3, then the seq, the kind, the
-// slot, the report count n and n × (sbs, class, content, count).
+// WAL payload v3 (generation format 4 left it unchanged): the tag byte
+// walTagV3, then the seq, the kind, the slot, the report count n and
+// n × (sbs, class, content, count).
 // A v2 payload is a JSON object and so starts with '{'; the decoder
 // chooses per frame, so one segment may hold both.
 
 // SnapshotFormatVersion is the generation format this build writes.
-// Bump on any incompatible change to the v3 layout, Envelope or
+// Bump on any incompatible change to the binary layout, Envelope or
 // online.StreamSnapshot; decoding rejects foreign versions loudly
 // instead of mis-restoring.
-const SnapshotFormatVersion = 3
+const SnapshotFormatVersion = 4
 
-// genMagic opens every v3 generation; the format version follows it.
+// iteratesFormatVersion is the last binary format that carried the P2
+// iterate fields; it is read only.
+const iteratesFormatVersion = 3
+
+// genMagic opens every binary generation; the format version follows it.
 var genMagic = []byte("JOCGEN")
 
 // jsonFormatVersion is the last format written as JSON; it is read only.
@@ -82,7 +94,7 @@ const minRequestBytes = 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encoder appends v3 primitives to buf.
+// encoder appends binary primitives to buf.
 type encoder struct{ buf []byte }
 
 func (e *encoder) uint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
@@ -135,9 +147,9 @@ func (e *encoder) floats3(s [][][]float64) {
 	}
 }
 
-// appendSnapshot appends env to dst as a v3 generation under
-// env.FormatVersion, ending in the CRC32C trailer. env.Checksum is not
-// read; the input is not mutated.
+// appendSnapshot appends env to dst as a binary generation in the
+// current layout under env.FormatVersion, ending in the CRC32C trailer.
+// env.Checksum is not read; the input is not mutated.
 func appendSnapshot(dst []byte, env *Envelope) []byte {
 	e := encoder{buf: append(dst, genMagic...)}
 	e.int(env.FormatVersion)
@@ -184,12 +196,6 @@ func (e *encoder) version(v *online.VersionSnapshot) {
 	e.floats3(v.WarmMu)
 	e.int(v.MuFrom)
 	e.int(v.MuTo)
-	e.bool(v.WsBound)
-	e.int(v.WsTau)
-	e.int(v.WsFrom)
-	e.int(v.WsTo)
-	e.floats2(v.WsInitial)
-	e.floats2(v.Iterates)
 	e.length(len(v.XA), v.XA == nil)
 	for _, x := range v.XA {
 		e.floats2(x)
@@ -205,7 +211,7 @@ func (e *encoder) version(v *online.VersionSnapshot) {
 	e.int(v.Stats.Replans)
 }
 
-// decoder reads v3 primitives from buf. The first failure sticks in err
+// decoder reads binary primitives from buf. The first failure sticks in err
 // and every later read returns a zero value, so a damaged input ends
 // every length-driven loop at once.
 type decoder struct {
@@ -344,7 +350,7 @@ func decodeSnapshot(data []byte) (*Envelope, error) {
 	if len(data) > 0 && data[0] == '{' {
 		env, err = decodeSnapshotJSON(data)
 	} else {
-		env, err = decodeSnapshotV3(data)
+		env, err = decodeSnapshotBinary(data)
 	}
 	if err != nil {
 		return nil, err
@@ -355,9 +361,10 @@ func decodeSnapshot(data []byte) (*Envelope, error) {
 	return env, nil
 }
 
-// decodeSnapshotV3 checks the CRC32C trailer before decoding anything,
-// then decodes the fields in encoding order.
-func decodeSnapshotV3(data []byte) (*Envelope, error) {
+// decodeSnapshotBinary checks the CRC32C trailer before decoding
+// anything, then decodes the fields in encoding order. A format-3
+// generation keeps FormatVersion 3 in the returned envelope.
+func decodeSnapshotBinary(data []byte) (*Envelope, error) {
 	if len(data) < len(genMagic)+4 || !bytes.HasPrefix(data, genMagic) {
 		return nil, fmt.Errorf("serve: not a snapshot generation (%d bytes)", len(data))
 	}
@@ -368,9 +375,9 @@ func decodeSnapshotV3(data []byte) (*Envelope, error) {
 	}
 	d := decoder{buf: body[len(genMagic):]}
 	env := &Envelope{FormatVersion: d.int(), Checksum: sum}
-	if d.err == nil && env.FormatVersion != SnapshotFormatVersion {
-		return nil, fmt.Errorf("serve: snapshot has format version %d, this build reads %d and %d",
-			env.FormatVersion, jsonFormatVersion, SnapshotFormatVersion)
+	if d.err == nil && env.FormatVersion != SnapshotFormatVersion && env.FormatVersion != iteratesFormatVersion {
+		return nil, fmt.Errorf("serve: snapshot has format version %d, this build reads %d, %d and %d",
+			env.FormatVersion, jsonFormatVersion, iteratesFormatVersion, SnapshotFormatVersion)
 	}
 	env.Algorithm = d.str()
 	env.Slot = d.int()
@@ -378,7 +385,7 @@ func decodeSnapshotV3(data []byte) (*Envelope, error) {
 	env.WalSeq = d.uint()
 	env.Rows = d.floats3()
 	if d.bool() {
-		env.Controller = d.stream()
+		env.Controller = d.stream(env.FormatVersion)
 	}
 	if d.err == nil && len(d.buf) != 0 {
 		d.fail("%d trailing bytes", len(d.buf))
@@ -389,7 +396,7 @@ func decodeSnapshotV3(data []byte) (*Envelope, error) {
 	return env, nil
 }
 
-func (d *decoder) stream() *online.StreamSnapshot {
+func (d *decoder) stream(format int) *online.StreamSnapshot {
 	s := &online.StreamSnapshot{Algorithm: d.str(), Slot: d.int()}
 	if n, isNil := d.length(); !isNil {
 		s.Trajectory = make(model.Trajectory, n)
@@ -416,25 +423,27 @@ func (d *decoder) stream() *online.StreamSnapshot {
 	if n, isNil := d.length(); !isNil {
 		s.Versions = make([]online.VersionSnapshot, n)
 		for i := range s.Versions {
-			d.version(&s.Versions[i])
+			d.version(&s.Versions[i], format)
 		}
 	}
 	return s
 }
 
-func (d *decoder) version(v *online.VersionSnapshot) {
+func (d *decoder) version(v *online.VersionSnapshot, format int) {
 	v.Version = d.int()
 	v.Tau = d.int()
 	v.VirtualPrev = d.floats2()
 	v.WarmMu = d.floats3()
 	v.MuFrom = d.int()
 	v.MuTo = d.int()
-	v.WsBound = d.bool()
-	v.WsTau = d.int()
-	v.WsFrom = d.int()
-	v.WsTo = d.int()
-	v.WsInitial = d.floats2()
-	v.Iterates = d.floats2()
+	if format == iteratesFormatVersion {
+		d.bool()    // workspace bound
+		d.int()     // decision time
+		d.int()     // first slot
+		d.int()     // end slot
+		d.floats2() // initial plan
+		d.floats2() // P2 iterates
+	}
 	if n, isNil := d.length(); !isNil {
 		v.XA = make([]model.CachePlan, n)
 		for i := range v.XA {

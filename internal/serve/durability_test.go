@@ -556,16 +556,7 @@ func TestOpenReadsGenerationWithCompactFlags(t *testing.T) {
 	ctx := context.Background()
 	base := testInstance(t)
 	tr := trace.Generate(base.Demand, 19)
-	dir := t.TempDir()
-	for _, name := range []string{"snap.000005.json", "wal.000005"} {
-		data, err := os.ReadFile("testdata/compactok-state/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(dir+"/"+name, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyStateFixture(t, "testdata/compactok-state")
 	cfg := Config{Online: online.CHC(4, 2), EstimatorFloor: -1, StateDir: dir, SnapKeep: 1}
 	want := goldenResult(t, cfg, tr)
 
@@ -627,4 +618,87 @@ func TestOpenReadsGenerationWithCompactFlags(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("result after restoring a compact-flag generation diverges from the uninterrupted run")
 	}
+}
+
+// TestOpenReadsFormat3Generation pins backward compatibility with the
+// last binary format before this one: testdata/format3-state is a state
+// dir written by a format-3 build (CHC(4,2), trace seed 19, closed
+// through slot 5), whose generation carries every version's cross-window
+// P2 iterate fields (both versions bound, with iterates) and whose
+// wal.000005 holds the first half of slot 5's reports. Open must read
+// the generation, dropping those fields, replay the WAL, and the
+// controller must finish identical to an uninterrupted run.
+func TestOpenReadsFormat3Generation(t *testing.T) {
+	ctx := context.Background()
+	base := testInstance(t)
+	tr := trace.Generate(base.Demand, 19)
+	dir := copyStateFixture(t, "testdata/format3-state")
+	cfg := Config{Online: online.CHC(4, 2), EstimatorFloor: -1, StateDir: dir, SnapKeep: 1}
+	want := goldenResult(t, cfg, tr)
+
+	gen, err := loadGeneration(dir, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.FormatVersion != iteratesFormatVersion {
+		t.Fatalf("fixture generation has format %d, want %d", gen.FormatVersion, iteratesFormatVersion)
+	}
+	wal, err := os.ReadFile(dir + "/wal.000005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := decodeWALBuffer(wal)
+	var logged int
+	for _, rec := range recs {
+		if rec.Kind == walKindReports && rec.Slot == 5 {
+			logged += len(rec.Reqs)
+		}
+	}
+	if logged == 0 {
+		t.Fatal("fixture WAL holds no open-slot reports")
+	}
+
+	c, err := Open(ctx, base, cfg)
+	if err != nil {
+		t.Fatalf("open a format-3 state dir: %v", err)
+	}
+	defer c.Close()
+	if got := c.Stats(); got.Slot != 5 || got.Ingested != gen.Ingested+int64(logged) {
+		t.Fatalf("restored slot %d with %d reports, want 5 and %d", got.Slot, got.Ingested, gen.Ingested+int64(logged))
+	}
+	var reqs []Request
+	for _, batch := range traceBatches(tr, base.T)[5] {
+		reqs = append(reqs, batch...)
+	}
+	if _, err := c.Ingest(reqs[logged:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	driveToCompletion(t, c, tr)
+	got, err := c.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("result after restoring a format-3 generation diverges from the uninterrupted run")
+	}
+}
+
+// copyStateFixture copies a checked-in state dir fixture (generation 5
+// and its WAL segment) into a fresh temp dir and returns the copy.
+func copyStateFixture(t *testing.T, fixture string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range []string{"snap.000005.json", "wal.000005"} {
+		data, err := os.ReadFile(fixture + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir+"/"+name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }

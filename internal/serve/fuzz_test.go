@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"reflect"
 	"testing"
 
 	"edgecache/internal/online"
@@ -13,14 +14,16 @@ import (
 // FuzzSnapshotAndWALDecode feeds arbitrary bytes to both on-disk
 // decoders. The contract under fuzz is narrow and absolute: corrupt
 // input yields an error (snapshot) or a truncated record list (WAL) —
-// never a panic, never an unbounded allocation — and a v3 generation
-// that decodes re-encodes to exactly its input bytes. The seed corpus
-// covers both formats. For v2, the checked-in JSON generation, its
-// prefixes and the two edits the raw-bytes checksum must catch around
-// the offset it cuts at: a key bit flip and a removed checksum member.
-// For v3, a real generation, its prefixes, a bit flip and length fields
-// larger than the bytes left under a valid checksum. For the WAL, JSON
-// and binary frames in one buffer, with a garbage or torn tail.
+// never a panic, never an unbounded allocation — a format-4 generation
+// that decodes re-encodes to exactly its input bytes, and a format-3 one
+// re-encodes as format 4 to the same state. The seed corpus covers every
+// format. For v2, the checked-in JSON generation, its prefixes and the
+// two edits the raw-bytes checksum must catch around the offset it cuts
+// at: a key bit flip and a removed checksum member. For format 4, a real
+// generation, its prefixes, a bit flip and length fields larger than the
+// bytes left under a valid checksum. For format 3, the checked-in
+// generation. For the WAL, JSON and binary frames in one buffer, with a
+// garbage or torn tail.
 func FuzzSnapshotAndWALDecode(f *testing.F) {
 	v2, err := os.ReadFile("testdata/compactok-state/snap.000005.json")
 	if err != nil {
@@ -88,6 +91,12 @@ func FuzzSnapshotAndWALDecode(f *testing.F) {
 	f.Add(wal[:len(wal)-3])
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0})
 
+	v3gen, err := os.ReadFile("testdata/format3-state/snap.000005.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3gen)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Snapshot decode: error or a structurally valid envelope.
 		if env, err := decodeSnapshot(data); err == nil {
@@ -97,7 +106,18 @@ func FuzzSnapshotAndWALDecode(f *testing.F) {
 			switch env.FormatVersion {
 			case SnapshotFormatVersion:
 				if again := appendSnapshot(nil, env); !bytes.Equal(again, data) {
-					t.Fatalf("v3 generation re-encodes to different bytes:\n got % x\nwant % x", again, data)
+					t.Fatalf("format-4 generation re-encodes to different bytes:\n got % x\nwant % x", again, data)
+				}
+			case iteratesFormatVersion:
+				up := *env
+				up.FormatVersion = SnapshotFormatVersion
+				again, err := decodeSnapshot(appendSnapshot(nil, &up))
+				if err != nil {
+					t.Fatalf("format-3 generation re-encoded as format 4 fails to decode: %v", err)
+				}
+				again.Checksum = up.Checksum
+				if !reflect.DeepEqual(again, &up) {
+					t.Fatal("format-3 generation re-encoded as format 4 decodes to a different envelope")
 				}
 			case jsonFormatVersion:
 			default:

@@ -192,24 +192,37 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 }
 
 // TestDecodeSnapshotRejectsDamagedV3 checks that every strict prefix and
-// every single-bit flip of a v3 generation fails to decode, and that a
-// length field claiming more than the bytes left fails even under a
-// valid checksum.
+// every single-bit flip of a binary generation fails to decode, for a
+// format-4 generation and for the read-only format-3 one in
+// testdata/format3-state, and that a length field claiming more than the
+// bytes left fails even under a valid checksum.
 func TestDecodeSnapshotRejectsDamagedV3(t *testing.T) {
-	data := appendSnapshot(nil, filledEnvelope(t, "filled"))
-	for n := 0; n < len(data); n++ {
-		if _, err := decodeSnapshot(data[:n]); err == nil {
-			t.Fatalf("prefix of %d of %d bytes decoded", n, len(data))
-		}
+	v3, err := os.ReadFile("testdata/format3-state/snap.000005.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	flipped := append([]byte(nil), data...)
-	for i := range flipped {
-		for bit := 0; bit < 8; bit++ {
-			flipped[i] ^= 1 << bit
-			if _, err := decodeSnapshot(flipped); err == nil {
-				t.Fatalf("flip of bit %d in byte %d decoded", bit, i)
+	gens := map[string][]byte{
+		"format-4": appendSnapshot(nil, filledEnvelope(t, "filled")),
+		"format-3": v3,
+	}
+	for name, data := range gens {
+		if _, err := decodeSnapshot(data); err != nil {
+			t.Fatalf("%s: undamaged generation: %v", name, err)
+		}
+		for n := 0; n < len(data); n++ {
+			if _, err := decodeSnapshot(data[:n]); err == nil {
+				t.Fatalf("%s: prefix of %d of %d bytes decoded", name, n, len(data))
 			}
-			flipped[i] ^= 1 << bit
+		}
+		flipped := append([]byte(nil), data...)
+		for i := range flipped {
+			for bit := 0; bit < 8; bit++ {
+				flipped[i] ^= 1 << bit
+				if _, err := decodeSnapshot(flipped); err == nil {
+					t.Fatalf("%s: flip of bit %d in byte %d decoded", name, bit, i)
+				}
+				flipped[i] ^= 1 << bit
+			}
 		}
 	}
 	for _, body := range oversizedLengthBodies() {
