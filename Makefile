@@ -100,18 +100,23 @@ cover:
 	$(GO) test -short -cover ./...
 
 # Short fuzzing bursts over the numerical substrates, the differential
-# solver cross-checks (the P2 dual kernel vs the generic convex path,
-# solvers vs the exact oracle and the trajectory auditor), the durable
-# store's snapshot and WAL decoders and instance validation (seed corpora
-# live in each package's testdata/fuzz or in its f.Add calls).
+# solver cross-checks (the P2 dual kernel vs the reference
+# SlotProblem.Solve, solvers vs the exact oracle and the trajectory
+# auditor), the durable store's snapshot and WAL decoders and instance
+# validation (seed corpora live in each package's testdata/fuzz or in its
+# f.Add calls). The engine minimises every new-coverage input for up to
+# -fuzzminimizetime (default 60s) and counts none of those execs, which
+# stalled the snapshot/WAL burst at 0 execs/sec; a short cap keeps each
+# burst fuzzing.
+FUZZFLAGS = -fuzztime 30s -fuzzminimizetime 100ms
 fuzz:
-	$(GO) test -fuzz FuzzBoxKnapsack -fuzztime 30s ./internal/projection
-	$(GO) test -fuzz FuzzDualKernel -fuzztime 30s ./internal/loadbalance
-	$(GO) test -fuzz FuzzSolve -fuzztime 30s ./internal/lp
-	$(GO) test -fuzz FuzzDifferentialOffline -fuzztime 30s ./internal/core
-	$(GO) test -fuzz FuzzDifferentialOnline -fuzztime 30s ./internal/online
-	$(GO) test -fuzz FuzzSnapshotAndWALDecode -fuzztime 30s ./internal/serve
-	$(GO) test -fuzz FuzzInstanceValidate -fuzztime 30s ./internal/model
+	$(GO) test -fuzz FuzzBoxKnapsack $(FUZZFLAGS) ./internal/projection
+	$(GO) test -fuzz FuzzDualKernel $(FUZZFLAGS) ./internal/loadbalance
+	$(GO) test -fuzz FuzzSolve $(FUZZFLAGS) ./internal/lp
+	$(GO) test -fuzz FuzzDifferentialOffline $(FUZZFLAGS) ./internal/core
+	$(GO) test -fuzz FuzzDifferentialOnline $(FUZZFLAGS) ./internal/online
+	$(GO) test -fuzz FuzzSnapshotAndWALDecode $(FUZZFLAGS) ./internal/serve
+	$(GO) test -fuzz FuzzInstanceValidate $(FUZZFLAGS) ./internal/model
 
 # Differentially audit real runs end to end: every committed trajectory
 # is re-derived (feasibility, integrality, independent cost recomputation)

@@ -73,31 +73,11 @@ type Result struct {
 	Converged bool
 }
 
-// Workspace owns the iterate and scratch buffers of a solve so that
-// repeated Minimize calls of the same (or smaller) dimension perform no
-// steady-state heap allocations. The zero value is ready to use; buffers
-// grow on demand and are retained across calls. A Workspace must not be
-// used by concurrent solves.
-type Workspace struct {
-	x, y, xPrev, grad, trial []float64
-}
-
-// grow returns buf resized to n entries, reallocating only when the
-// capacity is insufficient. Contents are unspecified.
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
 // Minimize runs FISTA from x0 (which must be feasible or at least
-// projectable) and writes the final iterate into out (len(out) ==
-// len(x0); out may alias x0), which the returned Result aliases as X.
-// Scratch comes from ws. The error sources are an invalid problem or
-// options and a failing projection oracle; on error the Result is
-// meaningless.
-func (ws *Workspace) Minimize(p Problem, x0, out []float64, opts Options) (Result, error) {
+// projectable) and returns the final iterate as X, in a fresh slice. The
+// error sources are an invalid problem or options and a failing
+// projection oracle; on error the Result is meaningless.
+func Minimize(p Problem, x0 []float64, opts Options) (Result, error) {
 	var res Result
 	if p.Func == nil || p.Grad == nil || p.Project == nil {
 		return res, errors.New("convex: Problem requires Func, Grad and Project")
@@ -109,16 +89,8 @@ func (ws *Workspace) Minimize(p Problem, x0, out []float64, opts Options) (Resul
 		return res, err
 	}
 	n := len(x0)
-	if len(out) != n {
-		return res, fmt.Errorf("convex: out has %d entries, want %d", len(out), n)
-	}
-
-	ws.x = grow(ws.x, n)
-	ws.y = grow(ws.y, n)
-	ws.xPrev = grow(ws.xPrev, n)
-	ws.grad = grow(ws.grad, n)
-	ws.trial = grow(ws.trial, n)
-	x, y, xPrev, grad, trial := ws.x, ws.y, ws.xPrev, ws.grad, ws.trial
+	x, y, xPrev := make([]float64, n), make([]float64, n), make([]float64, n)
+	grad, trial := make([]float64, n), make([]float64, n)
 
 	copy(x, x0)
 	if _, err := p.Project(x, x); err != nil {
@@ -167,8 +139,7 @@ func (ws *Workspace) Minimize(p Problem, x0, out []float64, opts Options) (Resul
 		}
 	}
 
-	copy(out, x)
-	res.X = out
+	res.X = x
 	res.Value = p.Func(x)
 	return res, nil
 }

@@ -44,12 +44,6 @@ func quadratic(q *mat.Dense, b []float64) Problem {
 // converges within.
 var defaults = Options{MaxIter: 3000, StepTol: 1e-10}
 
-// minimize solves p from x0 in a fresh workspace.
-func minimize(p Problem, x0 []float64, opts Options) (Result, error) {
-	var ws Workspace
-	return ws.Minimize(p, x0, make([]float64, len(x0)), opts)
-}
-
 // randomPSD builds Q = AᵀA + εI with entries of A standard normal.
 func randomPSD(r *rand.Rand, n int) *mat.Dense {
 	a := mat.NewDense(n, n)
@@ -90,7 +84,7 @@ func TestSeparableQuadraticClosedForm(t *testing.T) {
 		Project:   boxProject(n),
 		Lipschitz: 2,
 	}
-	res, err := minimize(p, make([]float64, n), defaults)
+	res, err := Minimize(p, make([]float64, n), defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +107,7 @@ func TestFixedLipschitzStep(t *testing.T) {
 		Project:   boxProject(1),
 		Lipschitz: 2,
 	}
-	res, err := minimize(p, []float64{0}, defaults)
+	res, err := Minimize(p, []float64{0}, defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +149,7 @@ func TestRandomQuadraticsSatisfyKKT(t *testing.T) {
 		}
 		p := quadratic(q, b)
 		x0 := make([]float64, n)
-		res, err := minimize(p, x0, Options{MaxIter: 5000, StepTol: 1e-12})
+		res, err := Minimize(p, x0, Options{MaxIter: 5000, StepTol: 1e-12})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -186,7 +180,7 @@ func TestKnapsackConstrainedQuadratic(t *testing.T) {
 		},
 		Lipschitz: 2,
 	}
-	res, err := minimize(p, make([]float64, n), defaults)
+	res, err := Minimize(p, make([]float64, n), defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +190,7 @@ func TestKnapsackConstrainedQuadratic(t *testing.T) {
 }
 
 func TestMinimizeValidation(t *testing.T) {
-	if _, err := minimize(Problem{Lipschitz: 1}, []float64{0}, defaults); err == nil {
+	if _, err := Minimize(Problem{Lipschitz: 1}, []float64{0}, defaults); err == nil {
 		t.Fatal("accepted nil oracles")
 	}
 	p := Problem{
@@ -205,13 +199,13 @@ func TestMinimizeValidation(t *testing.T) {
 		Project:   boxProject(1),
 		Lipschitz: 1,
 	}
-	if _, err := minimize(p, []float64{0}, defaults); err != nil {
+	if _, err := Minimize(p, []float64{0}, defaults); err != nil {
 		t.Fatalf("rejected a valid solve: %v", err)
 	}
 	for _, lip := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		bad := p
 		bad.Lipschitz = lip
-		if _, err := minimize(bad, []float64{0}, defaults); err == nil {
+		if _, err := Minimize(bad, []float64{0}, defaults); err == nil {
 			t.Errorf("accepted Lipschitz %v", lip)
 		}
 	}
@@ -223,7 +217,7 @@ func TestMinimizeValidation(t *testing.T) {
 		{MaxIter: 3000, StepTol: math.NaN()},
 		{MaxIter: 3000, StepTol: math.Inf(1)},
 	} {
-		if _, err := minimize(p, []float64{0}, opts); err == nil {
+		if _, err := Minimize(p, []float64{0}, opts); err == nil {
 			t.Errorf("accepted %+v", opts)
 		}
 	}
@@ -236,48 +230,11 @@ func TestInfeasibleStartIsProjected(t *testing.T) {
 		Project:   boxProject(1),
 		Lipschitz: 2,
 	}
-	res, err := minimize(p, []float64{17}, defaults)
+	res, err := Minimize(p, []float64{17}, defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.X[0]) > 1e-7 {
 		t.Fatalf("X = %v, want 0", res.X)
-	}
-}
-
-// TestWorkspaceMinimizeZeroAllocs verifies the steady-state promise: after
-// the first solve sized the scratch, further solves do not allocate.
-func TestWorkspaceMinimizeZeroAllocs(t *testing.T) {
-	r := rand.New(rand.NewPCG(43, 44))
-	const n = 8
-	q := randomPSD(r, n)
-	b := make([]float64, n)
-	x0 := make([]float64, n)
-	for i := range b {
-		b[i] = r.NormFloat64()
-		x0[i] = r.Float64()
-	}
-	p := quadratic(q, b)
-	out := make([]float64, n)
-	var ws Workspace
-	opts := Options{MaxIter: 300, StepTol: 1e-10}
-	if _, err := ws.Minimize(p, x0, out, opts); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		if _, err := ws.Minimize(p, x0, out, opts); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("steady-state Workspace.Minimize allocates %.0f objects/op, want 0", allocs)
-	}
-}
-
-// TestWorkspaceMinimizeValidatesOut pins the out-length contract.
-func TestWorkspaceMinimizeValidatesOut(t *testing.T) {
-	p := quadratic(randomPSD(rand.New(rand.NewPCG(1, 2)), 3), []float64{1, 1, 1})
-	var ws Workspace
-	if _, err := ws.Minimize(p, []float64{0, 0, 0}, make([]float64, 2), defaults); err == nil {
-		t.Fatal("Workspace.Minimize accepted a short out buffer")
 	}
 }

@@ -65,12 +65,6 @@ type Options struct {
 	// gap rarely closes to ε on integer instances, so this is the
 	// practical stopping rule; default 8, ≤ 0 disables).
 	StallIter int
-	// StepScale multiplies every δ_l. The subgradient g = y − x lives in
-	// [−1, 1] while useful multipliers must reach the scale of the cost
-	// gradients, so the raw step 1/(1+αl) is scaled by this factor
-	// (default: auto — twice the mean per-coordinate BS cost gradient at
-	// y = 0, a problem-size-independent calibration).
-	StepScale float64
 	// InitialMu warm-starts the dual multipliers (shape [T][N][M_n·K]);
 	// nil starts from zero. Receding-horizon controllers pass the shifted
 	// multipliers of the previous window, which typically cuts the
@@ -158,9 +152,7 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	opts = opts.withDefaults()
-	if opts.StepScale <= 0 {
-		opts.StepScale = autoStepScale(in)
-	}
+	stepScale := autoStepScale(in)
 	tel := opts.Telemetry
 	mSolves.Inc()
 	solveStart := time.Now()
@@ -313,7 +305,7 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 
 		// δ_l is a pure function of l, so the value reported for this
 		// iteration equals the step a continuing iteration would take.
-		delta := opts.StepScale / (1 + opts.StepAlpha*float64(l))
+		delta := stepScale / (1 + opts.StepAlpha*float64(l))
 		if tel.Enabled() {
 			tel.Emit("solver_iteration", obs.Fields{
 				"iter":         l,
@@ -423,8 +415,11 @@ func partialOnCtx(ctx context.Context, partial func() *Result) *Result {
 }
 
 // autoStepScale calibrates the subgradient step to the problem's cost
-// scale: the mean magnitude of ∂f/∂y at y = 0 over all coordinates with
-// demand, which is the size multipliers must reach to influence P1/P2.
+// scale. The subgradient g = y − x lives in [−1, 1] while useful
+// multipliers must reach the scale of the cost gradients, so every raw
+// step 1/(1+αl) is multiplied by twice the mean magnitude of ∂f/∂y at
+// y = 0 over all coordinates with demand — a problem-size-independent
+// calibration.
 func autoStepScale(in *model.Instance) float64 {
 	var sum float64
 	var count int

@@ -9,149 +9,153 @@ import (
 	"edgecache/internal/projection"
 )
 
-// The dual kernel: convex.Workspace.Minimize specialised to the fixed
-// shape of a dual-iteration P2 solve — FISTA with the fixed step 1/L,
-// projected onto the unit box ∩ the bandwidth knapsack, minimising
-// (A − w·y)² + (ŵ·y)² + μ·y over the active view. The generic solver runs
-// about fourteen short passes over the view per gradient step (the
-// gradient and objective dots, the step, three projection passes, the
-// distance, the extrapolation and the scaled norm); the kernel runs two:
+// The dual kernel: every P2 solve of a Workspace, dual iteration and
+// feasibility recovery alike — FISTA with the fixed step 1/L, projected
+// onto the box ∩ the bandwidth knapsack, minimising
+// (A − w·y)² + (ŵ·y)² + μ·y. A dual solve has μ ≥ 0 and the unit box; a
+// recovery has no μ and the box [0, hi] with hi = the fixed placement.
+// It runs the iteration of SlotProblem.Solve bit for bit in two passes
+// over the coordinates per gradient step, where the reference runs about
+// fourteen (the gradient and objective dots, the step, three projection
+// passes, the distance, the extrapolation and the scaled norm):
 //
-//   - pass 1 (stepClamp) fuses the gradient, the step, the unit-box clamp
-//     and the θ = 0 knapsack load, writing the clamped point and keeping
-//     the raw one for the bisection fallback when the load does not fit;
+//   - pass 1 (stepClamp) fuses the gradient, the step, the box clamp and
+//     the θ = 0 knapsack load, writing the clamped point and keeping the
+//     raw one for the bisection fallback when the load does not fit;
 //   - pass 2 (advance) fuses the step distance, the objective dots at the
 //     new point, the momentum extrapolation and the next gradient's dots
 //     at the extrapolated point. On an adaptive restart y = x, so the
 //     objective dots double as the next gradient's.
 //
-// The kernel is bit-identical to the generic path: every accumulator
-// still sums in index order, every product-sum keeps the generic path's
-// expression form (so an architecture that fuses multiply-adds fuses both
-// alike), and the work it skips cannot change a bit — the knapsack weight
-// check runs once per solve in the start projection (λ and B are fixed
-// for the solve), and the scaled norm of the stopping rule is evaluated
-// only once the step is below StepTol·(1+dim), a bound the norm of a
-// unit-box point never exceeds. View coordinates all have λ ≠ 0, so the
-// θ = 0 load needs no zero-weight skip. The loops are specialised for
-// ŵ ≡ 0 and for nil μ, exactly where objFunc and gradFunc branch.
+// Every accumulator still sums in index order, every product-sum keeps
+// the reference's expression form (so an architecture that fuses
+// multiply-adds fuses both alike), and the work the kernel skips cannot
+// change a bit: the knapsack weight check runs once per solve in the
+// start projection (λ and B are fixed for the solve), and the scaled norm
+// of the stopping rule is evaluated only once the step is below
+// StepTol·(1+dim), a bound the norm of a point of the unit box never
+// exceeds. The loops are specialised for ŵ ≡ 0 (the v-terms are exactly
+// +0 there) and for μ present or not.
 //
-// The passes run over the live coordinates only (pin). By the KKT
-// structure of P2, y_i = 0 wherever μ_i/w_i exceeds 2(A − w·y), and most
-// coordinates of a dual-iteration solve end there. Before the first step
-// the kernel pins every view coordinate whose warm start is exactly +0
-// and whose μ_i ≥ fl(c·w_i), where c = 2A is the gradient scale −cu at
-// y = 0. The rest are gathered into compact buffers, and a pinned
-// coordinate is left alone for the rest of the solve. This is bit-exact
-// while every step keeps −cu ≤ c, and cv ≥ 0 when ŵ ≢ 0; the kernel
-// checks both before each step. Under them, with w, ŵ ≥ 0, rounding is
-// monotone, so fl(cu·w_i) ≥ −fl(c·w_i) and the gradient entry g_i =
-// cu·w_i + cv·ŵ_i + μ_i is ≥ 0. The step +0 + fl(α·g_i), α = −1/L, is
-// then ≤ 0 and clamps to +0. So in the full-view solve a pinned
-// coordinate holds +0 in x, y and the trial point. It adds an exact +0
-// to every accumulator (no running sum here is ever −0), mat.Norm2 skips
-// it, and it leaves the knapsack bisection alone: its load is +0 at every
-// θ, and its raw step ≤ 0 never raises thetaMax, which starts at 0. When
-// a step fails the check (an extrapolation that carries w·y below 0), the
-// solve reruns over the full view. Nil-μ solves pin nothing. The pin test also asks
-// μ_i ≥ c·w_i exactly (the fused c·w_i − μ_i ≤ 0), which keeps the
-// argument where a compiler fuses cu·w_i + μ_i into one rounding, and μ_i
-// finite, since μ_i·(+0) is NaN in the full solve's objective when μ_i
-// is infinite.
+// A solve iterates over the slot's positions with λ ≠ 0 only (act), read
+// straight from the slot's dense rows or gathered from them. A λ = 0
+// coordinate cannot move in the reference: w_i = ŵ_i = 0, so its gradient
+// is μ_i ≥ 0 (or zero), its step from +0 is ≤ 0, the clamp holds it at
+// +0, and it adds an exact +0 to every dot product, norm and knapsack
+// load (the projections skip zero weights). The dual iterate keeps those
+// coordinates at +0: bind zeroes them and solves write back only the
+// coordinates they iterate over.
+//
+// Dual solves iterate over fewer still (pin). By the KKT structure of
+// P2, y_i = 0 wherever μ_i/w_i exceeds 2(A − w·y), and most coordinates of
+// a dual-iteration solve end there. Before the first step the kernel pins
+// every act coordinate whose warm start is exactly +0 and whose
+// μ_i ≥ fl(c·w_i), where c = 2A is the gradient scale −cu at y = 0. The
+// rest are gathered into compact buffers, and a pinned coordinate is left
+// alone for the rest of the solve. This is bit-exact while every step
+// keeps −cu ≤ c, and cv ≥ 0 when ŵ ≢ 0; the kernel checks both before
+// each step. Under them, with w, ŵ ≥ 0, rounding is monotone, so
+// fl(cu·w_i) ≥ −fl(c·w_i) and the gradient entry g_i = cu·w_i + cv·ŵ_i +
+// μ_i is ≥ 0. The step +0 + fl(α·g_i), α = −1/L, is then ≤ 0 and clamps to
+// +0. So in the unpinned solve a pinned coordinate holds +0 in x, y and
+// the trial point. It adds an exact +0 to every accumulator (no running
+// sum here is ever −0), mat.Norm2 skips it, and it leaves the knapsack
+// bisection alone: its load is +0 at every θ, and its raw step ≤ 0 never
+// raises thetaMax, which starts at 0. When a step fails the check (an
+// extrapolation that carries w·y below 0), the solve reruns over act.
+// The pin test also asks μ_i ≥ c·w_i exactly (the fused c·w_i − μ_i ≤ 0),
+// which keeps the argument where a compiler fuses cu·w_i + μ_i into one
+// rounding. SolveDual admits only finite μ ≥ 0, the domain of both
+// arguments: a negative μ_i moves a λ = 0 coordinate, and an infinite one
+// makes μ_i·(+0) NaN in the reference objective.
 
-// kcoords are the coordinates one kernel run iterates over: the slot's
-// active view (idx nil), or the live subset of it that pin leaves, with
-// idx holding their view positions and the coefficients gathered.
+// kcoords are the coordinates one kernel run iterates over and their
+// coefficients: the slot's own rows (idx nil, every position has demand)
+// or their gather at the plane positions idx. hi is the recovery bound
+// (nil: the unit box); pinned marks a run that holds coordinates out
+// under the pin certificate and must check it.
 type kcoords struct {
-	idx            []int
-	lam, w, wh, mu []float64
+	idx                []int
+	lam, w, wh, mu, hi []float64
+	pinned             bool
 }
 
-// dualFISTA minimises the dual-iteration slot objective from x0 (the
-// gathered warm start) and writes the final iterate into out — the Result
-// of convex.Workspace.Minimize with s.prob, bit for bit. opts must be
-// checked already. out may alias x0: it is written only once the solve
-// has succeeded.
-func (s *slotState) dualFISTA(x0, out []float64, opts convex.Options) (convex.Result, error) {
-	k := s.pin(x0)
-	res, held, err := s.fista(&k, x0, opts)
-	if err == nil && !held {
-		mPinFallbacks.Inc()
-		k = s.viewCoords()
-		res, _, err = s.fista(&k, x0, opts)
+// coords returns the kernel coordinates at the plane positions idx, with
+// μ row mu and recovery bound hi (either may be nil).
+func (s *slotState) coords(idx []int, mu, hi []float64) kcoords {
+	if idx == nil {
+		return kcoords{lam: s.lambda, w: s.w, wh: s.wh, mu: mu, hi: hi}
 	}
-	if err != nil {
-		return res, err
-	}
-	mViewCoords.Add(int64(len(x0)))
-	if k.idx == nil {
-		copy(out, res.X)
-	} else {
-		mPinnedCoords.Add(int64(len(x0) - len(k.idx)))
-		zero(out)
-		for i, j := range k.idx {
-			out[j] = res.X[i]
-		}
-	}
-	res.X = out
-	return res, nil
-}
-
-// viewCoords returns the whole active view as kernel coordinates.
-func (s *slotState) viewCoords() kcoords {
-	return kcoords{lam: s.vlam, w: s.vw, wh: s.vwh, mu: s.mu}
-}
-
-// pin returns the coordinates a solve from x0 iterates over: the view
-// less every coordinate priced out at the start (see the file comment).
-func (s *slotState) pin(x0 []float64) kcoords {
-	n := len(x0)
-	if s.mu == nil || n == 0 {
-		return s.viewCoords()
-	}
-	c := 2 * s.a
-	w, mu := s.vw[:n], s.mu[:n]
-	s.live = growInts(s.live, n)[:0]
-	for i, xi := range x0 {
-		if m := mu[i]; math.Float64bits(xi) == 0 && m <= math.MaxFloat64 &&
-			m >= c*w[i] && math.FMA(c, w[i], -m) <= 0 {
-			continue
-		}
-		s.live = append(s.live, i)
-	}
-	if len(s.live) == n {
-		return s.viewCoords()
-	}
-	s.lamL, s.wL, s.muL = grow(s.lamL, n), grow(s.wL, n), grow(s.muL, n)
-	k := kcoords{
-		idx: s.live,
-		lam: gatherAt(s.lamL, s.vlam, s.live),
-		w:   gatherAt(s.wL, s.vw, s.live),
-		mu:  gatherAt(s.muL, s.mu, s.live),
-	}
+	n := len(idx)
+	s.lamL, s.wL = grow(s.lamL, n), grow(s.wL, n)
+	k := kcoords{idx: idx, lam: gatherAt(s.lamL, s.lambda, idx), w: gatherAt(s.wL, s.w, idx)}
 	if !s.whZero {
 		s.whL = grow(s.whL, n)
-		k.wh = gatherAt(s.whL, s.vwh, s.live)
+		k.wh = gatherAt(s.whL, s.wh, idx)
+	}
+	if mu != nil {
+		s.muL = grow(s.muL, n)
+		k.mu = gatherAt(s.muL, mu, idx)
+	}
+	if hi != nil {
+		s.hiL = grow(s.hiL, n)
+		k.hi = gatherAt(s.hiL, hi, idx)
 	}
 	return k
 }
 
-// fista is one FISTA run over the coordinates k from x0 (view length),
-// returning the final iterate in res.X (kernel scratch). When k pins
-// coordinates it checks the pin certificate before every step and
-// reports held = false, with no result, the first time it fails.
+// pin returns the coordinates a dual solve under mu iterates over from
+// the warm start s.y: act less every coordinate priced out at the start
+// (see the file comment).
+func (s *slotState) pin(mu []float64) kcoords {
+	c := 2 * s.a
+	s.live = growInts(s.live, s.dim)[:0]
+	if s.act == nil {
+		for i, yi := range s.y {
+			if !pinnable(yi, mu[i], c, s.w[i]) {
+				s.live = append(s.live, i)
+			}
+		}
+		if len(s.live) == s.dim {
+			return s.coords(nil, mu, nil)
+		}
+	} else {
+		for _, i := range s.act {
+			if !pinnable(s.y[i], mu[i], c, s.w[i]) {
+				s.live = append(s.live, i)
+			}
+		}
+		if len(s.live) == len(s.act) {
+			return s.coords(s.act, mu, nil)
+		}
+	}
+	k := s.coords(s.live, mu, nil)
+	k.pinned = true
+	return k
+}
+
+// pinnable is the pin test of one coordinate: a +0 warm start y and
+// μ ≥ c·w both as rounded and as fused.
+func pinnable(y, mu, c, w float64) bool {
+	return math.Float64bits(y) == 0 && mu >= c*w && math.FMA(c, w, -mu) <= 0
+}
+
+// fista is one FISTA run over the coordinates k from the plane point x0,
+// returning the final iterate in res.X (kernel scratch, one entry per
+// coordinate of k). A pinned run checks the pin certificate before every
+// step and reports held = false, with no result, the first time it
+// fails. opts must be checked already.
 func (s *slotState) fista(k *kcoords, x0 []float64, opts convex.Options) (res convex.Result, held bool, err error) {
 	n := len(k.w)
-	nv := len(x0)
-	s.kx, s.ky, s.kt, s.kraw = grow(s.kx, nv), grow(s.ky, nv), grow(s.kt, nv), grow(s.kraw, nv)
-	x, y, trial, raw := s.kx[:n], s.ky[:n], s.kt[:n], s.kraw[:n]
+	s.kx, s.ky, s.kt, s.kraw = grow(s.kx, n), grow(s.ky, n), grow(s.kt, n), grow(s.kraw, n)
+	x, y, trial, raw := s.kx, s.ky, s.kt, s.kraw
 
 	if k.idx == nil {
 		copy(x, x0)
 	} else {
 		gatherAt(x, x0, k.idx)
 	}
-	if _, err := projection.UnitBoxKnapsack(x, x, k.lam, s.bw); err != nil {
+	if err := s.project(k, x, x); err != nil {
 		return res, false, fmt.Errorf("convex: projecting start point: %w", err)
 	}
 	copy(y, x)
@@ -161,20 +165,20 @@ func (s *slotState) fista(k *kcoords, x0 []float64, opts convex.Options) (res co
 		vy = mat.Dot(k.wh, y)
 	}
 
-	alpha := -1 / s.prob.Lipschitz
+	alpha := -1 / s.lip
 	// ‖x‖ ≤ √dim ≤ dim on the unit box, so no step above this bound can
 	// meet the stopping rule StepTol·(1+‖x‖).
 	normFree := opts.StepTol * (1 + float64(n))
-	pinned, c := k.idx != nil, 2*s.a
+	c := 2 * s.a
 	tk, fxPrev := 1.0, math.Inf(1)
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		res.Iterations = iter + 1
 		cu, cv := -2*(s.a-uy), 2*vy
-		if pinned && !(-cu <= c && (s.whZero || cv >= 0)) {
+		if k.pinned && !(-cu <= c && (s.whZero || cv >= 0)) {
 			return convex.Result{}, false, nil
 		}
 		if load := s.stepClamp(k, y, trial, raw, alpha, cu, cv); !(load <= s.bw) {
-			if _, err := projection.UnitBoxKnapsack(trial, raw, k.lam, s.bw); err != nil {
+			if err := s.project(k, trial, raw); err != nil {
 				return res, false, fmt.Errorf("convex: projection failed at iteration %d: %w", iter, err)
 			}
 		}
@@ -215,23 +219,37 @@ func (s *slotState) fista(k *kcoords, x0 []float64, opts convex.Options) (res co
 	return res, true, nil
 }
 
-// stepClamp is pass 1: dst = clamp(y − ∇F(y)/L, 0, 1) and raw = the
-// unclamped step, where ∇F(y) = cu·w + cv·ŵ + μ. It returns the knapsack
-// load Σ λ·dst — the θ = 0 probe of projection.UnitBoxKnapsack; when it
-// fits the bandwidth, dst is the projection.
+// project writes the projection of z onto the knapsack over k's box into
+// dst: the unit box, or [0, hi] on a recovery.
+func (s *slotState) project(k *kcoords, dst, z []float64) error {
+	var err error
+	if k.hi == nil {
+		_, err = projection.UnitBoxKnapsack(dst, z, k.lam, s.bw)
+	} else {
+		_, err = projection.BoxKnapsack(dst, z, s.zeros[:len(k.hi)], k.hi, k.lam, s.bw)
+	}
+	return err
+}
+
+// stepClamp is pass 1: dst = clamp(y − ∇F(y)/L, 0, u) and raw = the
+// unclamped step, where ∇F(y) = cu·w + cv·ŵ + μ and u is 1 on a dual
+// solve and hi on a recovery, the only solves without μ. It returns the
+// knapsack load Σ λ·dst — the θ = 0 probe of the projection; when it fits
+// the bandwidth, dst is the projection.
 func (s *slotState) stepClamp(k *kcoords, y, dst, raw []float64, alpha, cu, cv float64) (load float64) {
 	n := len(y)
 	dst, raw = dst[:n], raw[:n]
 	w, lam := k.w[:n], k.lam[:n]
 	switch {
 	case s.whZero && k.mu == nil:
+		hi := k.hi[:n]
 		for i, yi := range y {
 			z := yi + alpha*(cu*w[i])
 			raw[i] = z
 			if z < 0 {
 				z = 0
-			} else if z > 1 {
-				z = 1
+			} else if z > hi[i] {
+				z = hi[i]
 			}
 			dst[i] = z
 			load += lam[i] * z
@@ -250,14 +268,14 @@ func (s *slotState) stepClamp(k *kcoords, y, dst, raw []float64, alpha, cu, cv f
 			load += lam[i] * z
 		}
 	case k.mu == nil:
-		wh := k.wh[:n]
+		wh, hi := k.wh[:n], k.hi[:n]
 		for i, yi := range y {
 			z := yi + alpha*(cu*w[i]+cv*wh[i])
 			raw[i] = z
 			if z < 0 {
 				z = 0
-			} else if z > 1 {
-				z = 1
+			} else if z > hi[i] {
+				z = hi[i]
 			}
 			dst[i] = z
 			load += lam[i] * z

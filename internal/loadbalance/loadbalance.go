@@ -40,9 +40,10 @@ var (
 	mGradSteps  = obs.Default.Counter("loadbalance.p2_gradient_steps")
 	mSolveTime  = obs.Default.Timer("loadbalance.p2_solve")
 
-	// The dual kernel's pin certificate (kernel.go): view coordinates of
-	// its solves, those held out of the iteration as priced out, and the
-	// solves that reran over the full view when the certificate broke.
+	// The dual kernel's pin certificate (kernel.go): the λ ≠ 0
+	// coordinates of its dual solves, those held out of the iteration as
+	// priced out, and the solves that reran over every λ ≠ 0 coordinate
+	// when the certificate broke.
 	mViewCoords   = obs.Default.Counter("loadbalance.p2_view_coords")
 	mPinnedCoords = obs.Default.Counter("loadbalance.p2_pinned_coords")
 	mPinFallbacks = obs.Default.Counter("loadbalance.p2_pin_fallbacks")
@@ -220,8 +221,7 @@ func (p *SlotProblem) Solve(start []float64, opts convex.Options) ([]float64, fl
 		x0 = make([]float64, n)
 	}
 	solveStart := time.Now()
-	var cw convex.Workspace
-	res, err := cw.Minimize(prob, x0, make([]float64, n), opts)
+	res, err := convex.Minimize(prob, x0, opts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("loadbalance: %w", err)
 	}

@@ -173,7 +173,7 @@ func TestSolveAllShapesAndFeasibility(t *testing.T) {
 	in := paperInstance(t, nil)
 	ws := NewWorkspace()
 	ws.Bind(in)
-	total, err := ws.SolveDual(context.Background(), nil, convex.Options{})
+	total, err := ws.SolveDual(context.Background(), zeroMu(in), convex.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func TestCompactDualSolveZeroAllocs(t *testing.T) {
 	var s *slotState
 	for i := range ws.slots {
 		if ws.slots[i].act != nil {
-			s = ws.slots[i]
+			s = &ws.slots[i]
 			break
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -11,18 +12,19 @@ import (
 	"edgecache/internal/mat"
 	"edgecache/internal/model"
 	"edgecache/internal/parallel"
-	"edgecache/internal/projection"
 )
 
 // Workspace is the zero-reallocation P2 solver state of one primal-dual
 // run. Everything that the ~MaxIter × T × N inner solves of Algorithm 1
 // re-derive in the naive path — the vectors w and ŵ, the scalar A, the
-// exact Lipschitz constant, the greedy recovery order, the FISTA and
-// projection scratch and the warm-started iterate itself — depends only on
-// the instance (λ, ω), not on the dual multipliers μ. A workspace computes
-// it once per Bind and then solves dual iterations and feasibility
-// recoveries with zero steady-state heap allocations, scheduling the
-// (slot, SBS) subproblems as one flat work list on the shared worker pool.
+// exact Lipschitz constant, the greedy recovery order, the positions with
+// demand, the kernel scratch and the warm-started iterate itself —
+// depends only on the instance (λ, ω), not on the dual multipliers μ. A
+// workspace computes it once per Bind and then solves dual iterations and
+// feasibility recoveries with zero steady-state heap allocations,
+// scheduling the (slot, SBS) subproblems as one flat work list on the
+// shared worker pool. Every solve, dual and recovery, is one run of the
+// dual kernel (kernel.go) over coordinates read from the slot's own rows.
 //
 // Numerics are bit-for-bit identical to the reference path
 // (SlotProblem.Solve / OptimalGivenPlacement): the same float64 operation
@@ -35,12 +37,10 @@ import (
 // be called concurrently, though each solve internally parallelises over
 // its (t, n) grain.
 type Workspace struct {
-	in *model.Instance
-	// slots is indexed t*N + n. Pointers, because each slot's prob holds
-	// method values bound to the slot's address.
-	slots []*slotState
-	objs  []float64 // per-slot objectives of the last SolveDual
-	zeros []float64 // shared all-zero lower bound (never written)
+	in    *model.Instance
+	slots []slotState // indexed t*N + n
+	objs  []float64   // per-slot objectives of the last SolveDual
+	zeros []float64   // shared all-zero plane (never written)
 
 	// per-call bindings for the closure-free dispatch functions
 	mu      [][][]float64
@@ -51,61 +51,37 @@ type Workspace struct {
 	recFn   func(i int) error
 }
 
-// slotState is the persistent P2 state of one (slot, SBS) pair.
+// slotState is the persistent P2 state of one (slot, SBS) pair: its dense
+// (class, content) rows of length dim = m·k, and the kernel's scratch.
 type slotState struct {
-	t, n     int
-	m, k     int
-	dim      int       // m·k
-	lambda   []float64 // owned dense copy of the demand plane
-	omega    []float64 // aliases OmegaBS[n]
-	omegaSBS []float64 // aliases OmegaSBS[n]
-	bw       float64
+	t, n   int
+	m, k   int
+	dim    int
+	lambda []float64 // owned dense copy of the demand plane
+	bw     float64
 
 	w, wh  []float64 // ω_m λ_i and ŵ_m λ_i
 	a      float64   // A = Σ w
-	whZero bool      // ŵ ≡ 0: skip the v-terms (bit-exact; see gradFunc)
+	lip    float64   // the exact Lipschitz constant of the slot objective
+	whZero bool      // ŵ ≡ 0: the kernel skips the v-terms
 	greedy bool      // OmegaSBS[n] ≡ 0: recovery takes the greedy path
 	order  []int     // classes by descending ω (stable) for the greedy
 
-	y        []float64 // persistent dual iterate — the warm start
-	recovY   []float64 // recovery iterate (separate: must not clobber y)
-	hi       []float64 // recovery upper bounds
-	lo       []float64 // aliases Workspace.zeros, view length
-	mu       []float64 // μ over the view, bound per solve; nil = zero duals
-	hiActive bool      // project onto [lo, vhi] instead of the unit box
+	// act lists the positions with λ ≠ 0, the only ones a solve moves
+	// (kernel.go); nil when every position has demand. An all-zero plane
+	// has an empty, non-nil act.
+	act   []int
+	zeros []float64 // aliases Workspace.zeros: recovery's start and lower bound
 
-	// The active view: every P2 solve of the slot — dual iteration and
-	// recovery alike — runs over the coordinates with λ ≠ 0 only. The
-	// others cannot move: their gradient is the non-negative μ (or zero),
-	// the projection clamps them at the lower bound 0, and they add an
-	// exact +0.0 to every dot product, norm and knapsack load of the
-	// dense solve. So the FISTA trajectory over the view is bit-identical
-	// to the dense one at O(active) cost per iteration. On a dense plane
-	// (every coordinate active) the view aliases the dense rows and act is
-	// nil; otherwise the view is the gather over act into the compact
-	// buffers. The dense test is explicit: an all-zero plane has no active
-	// coordinate and is compact, with an empty view.
-	//
-	// The view relies on the invariant that inactive coordinates of y are
-	// exactly 0: bind zeroes them and solves write only active coordinates
-	// back.
-	act                []int
-	dense              bool
-	vlam, vw, vwh, vhi []float64 // λ, w, ŵ and recovery bounds over the view
-	lamC, wC, whC, hiC []float64 // their gather buffers on compact planes
-	muC, yC            []float64 // μ and iterate gather buffers
+	y  []float64 // persistent dual iterate — the warm start
+	hi []float64 // recovery upper bounds
 
-	// Solvers: the dual kernel (dualFISTA) and its scratch for dual
-	// solves, the generic convex path for recovery. The kernel's live
-	// gather (kernel.go) holds the view positions a solve iterates over
-	// and their coefficients, sized to the view on the slot's first pin.
-	// prob carries the slot's oracles and its exact Lipschitz constant,
-	// which the kernel's step uses too.
-	kx, ky, kt, kraw   []float64
-	live               []int
-	lamL, wL, whL, muL []float64
-	prob               convex.Problem
-	cw                 convex.Workspace
+	// Kernel scratch: the iterates of a run, the live positions pin
+	// leaves, and the coefficients gathered at the positions of a run
+	// that does not read the rows directly.
+	kx, ky, kt, kraw        []float64
+	live                    []int
+	lamL, wL, whL, muL, hiL []float64
 }
 
 // NewWorkspace returns an empty workspace; Bind prepares it for an
@@ -123,16 +99,11 @@ func (ws *Workspace) Bind(in *model.Instance) {
 	ws.in = in
 	total := in.T * in.N
 	if cap(ws.slots) < total {
-		grown := make([]*slotState, total)
-		copy(grown, ws.slots)
+		grown := make([]slotState, total)
+		copy(grown, ws.slots[:cap(ws.slots)])
 		ws.slots = grown
 	} else {
 		ws.slots = ws.slots[:total]
-	}
-	for i, s := range ws.slots {
-		if s == nil {
-			ws.slots[i] = new(slotState)
-		}
 	}
 	ws.objs = grow(ws.objs, total)
 
@@ -142,18 +113,13 @@ func (ws *Workspace) Bind(in *model.Instance) {
 			maxDim = d
 		}
 	}
-	// zeros is only ever read (it is the shared lower bound), so growth
-	// preserves its all-zero invariant.
+	// zeros is only ever read, so growth preserves its all-zero invariant.
 	ws.zeros = grow(ws.zeros, maxDim)
 
 	if ws.dualFn == nil {
 		ws.dualFn = func(i int) error {
-			s := ws.slots[i]
-			var muRow []float64
-			if ws.mu != nil && ws.mu[s.t] != nil {
-				muRow = ws.mu[s.t][s.n]
-			}
-			obj, err := s.solveDual(muRow, ws.opts)
+			s := &ws.slots[i]
+			obj, err := s.solveDual(ws.mu[s.t][s.n], ws.opts)
 			if err != nil {
 				return fmt.Errorf("loadbalance: slot %d SBS %d: %w", s.t, s.n, err)
 			}
@@ -161,7 +127,7 @@ func (ws *Workspace) Bind(in *model.Instance) {
 			return nil
 		}
 		ws.recFn = func(i int) error {
-			s := ws.slots[i]
+			s := &ws.slots[i]
 			if err := s.recover(ws.recX[s.t][s.n], ws.recTraj[s.t].Y[s.n], ws.opts); err != nil {
 				return fmt.Errorf("loadbalance: slot %d SBS %d: %w", s.t, s.n, err)
 			}
@@ -181,8 +147,6 @@ func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 	dim := m * k
 	s.t, s.n, s.m, s.k, s.dim = t, n, m, k, dim
 	s.lambda = in.Demand.CopySlot(s.lambda, t, n)
-	s.omega = in.OmegaBS[n]
-	s.omegaSBS = in.OmegaSBS[n]
 	s.bw = in.BandwidthAt(t, n)
 
 	s.w = grow(s.w, dim)
@@ -197,15 +161,14 @@ func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 		}
 	}
 	s.a = a
+	s.lip = lipschitz(s.w, s.wh)
 	s.whZero = allZero(s.wh)
 	s.greedy = allZero(in.OmegaSBS[n])
 
 	s.y = grow(s.y, dim)
 	zero(s.y)
-	s.recovY = grow(s.recovY, dim)
 	s.hi = grow(s.hi, dim)
-	s.mu = nil
-	s.hiActive = false
+	s.zeros = zeros[:dim]
 
 	// Greedy recovery order: classes by descending ω, stable (ties keep
 	// class-index order) — the permutation of the reference sort.
@@ -217,44 +180,23 @@ func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 	for i := range s.order {
 		s.order[i] = i
 	}
-	omega := s.omega
+	omega := in.OmegaBS[n]
 	order := s.order
 	sort.SliceStable(order, func(i, j int) bool { return omega[order[i]] > omega[order[j]] })
 
-	// Active view: gather the λ ≠ 0 coordinates unless all of them are.
-	s.act = growInts(s.act, 0)
+	act := s.act[:0]
+	if act == nil {
+		act = make([]int, 0, dim)
+	}
 	for i, v := range s.lambda {
 		if v != 0 {
-			s.act = append(s.act, i)
+			act = append(act, i)
 		}
 	}
-	s.dense = len(s.act) == dim
-	if s.dense {
-		s.act = nil
-		s.vlam, s.vw, s.vwh = s.lambda, s.w, s.wh
-	} else {
-		na := len(s.act)
-		s.lamC, s.wC, s.whC = grow(s.lamC, na), grow(s.wC, na), grow(s.whC, na)
-		s.vlam, s.vw, s.vwh = s.gather(s.lamC, s.lambda), s.gather(s.wC, s.w), s.gather(s.whC, s.wh)
-		s.hiC = grow(s.hiC, na)
-		s.muC = grow(s.muC, na)
-		s.yC = grow(s.yC, na)
+	if len(act) == dim {
+		act = nil
 	}
-	s.lo = zeros[:len(s.vlam)]
-
-	if s.prob.Func == nil {
-		s.prob = convex.Problem{Func: s.objFunc, Grad: s.gradFunc, Project: s.projFunc}
-	}
-	s.prob.Lipschitz = lipschitz(s.w, s.wh)
-}
-
-// gather returns src over the active view: src itself on a dense plane,
-// otherwise its active coordinates copied into buf (len(buf) ≥ active).
-func (s *slotState) gather(buf, src []float64) []float64 {
-	if s.dense {
-		return src
-	}
-	return gatherAt(buf, src, s.act)
+	s.act = act
 }
 
 // gatherAt copies src at the positions idx into buf (len(buf) ≥ len(idx))
@@ -267,20 +209,7 @@ func gatherAt(buf, src []float64, idx []int) []float64 {
 	return buf
 }
 
-// scatter writes the view vector src back into the dense row dst; the
-// inactive coordinates of dst are left alone.
-func (s *slotState) scatter(dst, src []float64) {
-	if s.dense {
-		copy(dst, src)
-		return
-	}
-	for i, j := range s.act {
-		dst[j] = src[i]
-	}
-}
-
-// growInts is grow for index slices, returning a zero-length slice over
-// retained capacity.
+// growInts is grow for index slices.
 func growInts(buf []int, n int) []int {
 	if cap(buf) < n {
 		return make([]int, n)
@@ -302,91 +231,53 @@ func zero(v []float64) {
 	}
 }
 
-// objFunc is SlotProblem.Solve's objective closure over precomputed state,
-// evaluated on the active view. When ŵ ≡ 0 the v-terms are skipped: v is
-// exactly +0 there (Σ of +0 products), so v² = +0 and adding it cannot
-// change any bit of the result ((a−u)² ≥ +0).
-func (s *slotState) objFunc(y []float64) float64 {
-	u := mat.Dot(s.vw, y)
-	var obj float64
-	if s.whZero {
-		obj = (s.a - u) * (s.a - u)
-	} else {
-		v := mat.Dot(s.vwh, y)
-		obj = (s.a-u)*(s.a-u) + v*v
+// checkMu reports whether mu is a μ row the dual kernel is exact for: one
+// finite, non-negative entry per coordinate (kernel.go).
+func (s *slotState) checkMu(mu []float64) error {
+	if len(mu) != s.dim {
+		return fmt.Errorf("loadbalance: mu[%d][%d] has %d entries, want %d", s.t, s.n, len(mu), s.dim)
 	}
-	if s.mu != nil {
-		obj += mat.Dot(s.mu, y)
-	}
-	return obj
-}
-
-// gradFunc is the gradient closure, with the μ branch hoisted out of the
-// loop and the cv·ŵ term dropped when ŵ ≡ 0. The skipped term is ±0, so
-// results can differ from the reference only in the sign of zero entries —
-// which Go's == (and hence reflect.DeepEqual) treats as equal and which no
-// downstream arithmetic can amplify (such coordinates have w = λ = 0).
-func (s *slotState) gradFunc(y, grad []float64) {
-	u := mat.Dot(s.vw, y)
-	cu := -2 * (s.a - u)
-	w := s.vw[:len(grad)]
-	if s.whZero {
-		if s.mu != nil {
-			mu := s.mu[:len(grad)]
-			for i := range grad {
-				grad[i] = cu*w[i] + mu[i]
-			}
-		} else {
-			for i := range grad {
-				grad[i] = cu * w[i]
-			}
-		}
-		return
-	}
-	v := mat.Dot(s.vwh, y)
-	cv := 2 * v
-	wh := s.vwh[:len(grad)]
-	if s.mu != nil {
-		mu := s.mu[:len(grad)]
-		for i := range grad {
-			grad[i] = cu*w[i] + cv*wh[i] + mu[i]
-		}
-	} else {
-		for i := range grad {
-			grad[i] = cu*w[i] + cv*wh[i]
+	for i, v := range mu {
+		if !(v >= 0 && v <= math.MaxFloat64) {
+			return fmt.Errorf("loadbalance: mu[%d][%d][%d] = %g, want finite and ≥ 0", s.t, s.n, i, v)
 		}
 	}
+	return nil
 }
 
-func (s *slotState) projFunc(dst, z []float64) ([]float64, error) {
-	if s.hiActive {
-		return projection.BoxKnapsack(dst, z, s.lo, s.vhi, s.vlam, s.bw)
-	}
-	return projection.UnitBoxKnapsack(dst, z, s.vlam, s.bw)
-}
-
-// solveDual runs this slot's warm-started dual solve over the active
-// view on the dual kernel (kernel.go), leaving the iterate in s.y for the
-// next iteration, and returns the objective value. The kernel copies the
-// start point in before its first step and writes the final iterate out
-// only on success, so the gathered view serves as start and output at
-// once. opts is already checked.
+// solveDual runs this slot's warm-started dual solve under the μ row mu
+// on the dual kernel, over the live coordinates pin leaves or, when the
+// pin certificate breaks, over act. It leaves the iterate in s.y for the
+// next iteration and returns the objective value. opts is already
+// checked, and so is mu (checkMu).
 func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error) {
-	if mu != nil && len(mu) != s.dim {
-		return 0, fmt.Errorf("loadbalance: mu has %d entries, want %d", len(mu), s.dim)
-	}
-	y := s.gather(s.yC, s.y)
-	s.mu = nil
-	if mu != nil {
-		s.mu = s.gather(s.muC, mu)
-	}
-	s.hiActive = false
 	start := time.Now()
-	res, err := s.dualFISTA(y, y, opts)
+	k := s.pin(mu)
+	res, held, err := s.fista(&k, s.y, opts)
+	if err == nil && !held {
+		mPinFallbacks.Inc()
+		k = s.coords(s.act, mu, nil)
+		res, _, err = s.fista(&k, s.y, opts)
+	}
 	if err != nil {
 		return 0, err
 	}
-	s.scatter(s.y, y)
+	active := s.dim
+	if s.act != nil {
+		active = len(s.act)
+	}
+	mViewCoords.Add(int64(active))
+	if k.pinned {
+		mPinnedCoords.Add(int64(active - len(k.idx)))
+	}
+	if k.idx == nil {
+		copy(s.y, res.X)
+	} else {
+		// A pinned coordinate keeps its +0 warm start.
+		for i, j := range k.idx {
+			s.y[j] = res.X[i]
+		}
+	}
 	mSlotSolves.Inc()
 	mGradSteps.Add(int64(res.Iterations))
 	mSolveTime.Observe(time.Since(start))
@@ -394,8 +285,8 @@ func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error
 }
 
 // recover computes the optimal load split for the fixed placement row xn
-// (length K) into yn — OptimalGivenPlacement for one (t, n). The dual
-// iterate s.y is untouched.
+// (length K) into yn — OptimalGivenPlacement for one (t, n). yn must be
+// all zero on entry; the dual iterate s.y is untouched.
 func (s *slotState) recover(xn []float64, yn [][]float64, opts convex.Options) error {
 	if s.greedy {
 		s.greedyRecover(xn, yn)
@@ -407,23 +298,23 @@ func (s *slotState) recover(xn []float64, yn [][]float64, opts convex.Options) e
 			s.hi[base+k] = mat.Clamp(xn[k], 0, 1)
 		}
 	}
-	s.vhi = s.gather(s.hiC, s.hi)
-	s.mu = nil
-	s.hiActive = true
-	zero(s.recovY)
-	y := s.gather(s.yC, s.recovY)
 	start := time.Now()
-	res, err := s.cw.Minimize(s.prob, y, y, opts)
-	s.hiActive = false
+	k := s.coords(s.act, nil, s.hi)
+	res, _, err := s.fista(&k, s.zeros, opts)
 	if err != nil {
 		return err
 	}
-	s.scatter(s.recovY, y)
 	mSlotSolves.Inc()
 	mGradSteps.Add(int64(res.Iterations))
 	mSolveTime.Observe(time.Since(start))
-	for m := 0; m < s.m; m++ {
-		copy(yn[m], s.recovY[m*s.k:(m+1)*s.k])
+	if k.idx == nil {
+		for m := 0; m < s.m; m++ {
+			copy(yn[m], res.X[m*s.k:(m+1)*s.k])
+		}
+	} else {
+		for i, j := range k.idx {
+			yn[j/s.k][j%s.k] = res.X[i]
+		}
 	}
 	return nil
 }
@@ -458,14 +349,26 @@ func (s *slotState) greedyRecover(xn []float64, yn [][]float64) {
 // SolveDual runs one dual iteration's P2 solves — every (t, n) pair, warm-
 // started from the previous iteration's iterate — as a flat work list on
 // the shared worker pool, and returns the total objective Σ_t Σ_n
-// accumulated in the sequential reference order. mu may be nil (zero
-// duals); its rows are read but never retained. Zero fields of opts take
-// the standalone setting, as in SlotProblem.Solve. Iterates stay inside
-// the workspace: read them with DualY or materialise plans with
-// ExportPlans.
+// accumulated in the sequential reference order. mu must hold one row of
+// finite, non-negative multipliers per (t, n); every row is checked
+// before any slot is solved, so a rejected mu leaves every iterate as it
+// was. Its rows are read but never retained. Zero fields of opts take the standalone setting, as in
+// SlotProblem.Solve. Iterates stay inside the workspace: read them with
+// DualY or materialise plans with ExportPlans.
 func (ws *Workspace) SolveDual(ctx context.Context, mu [][][]float64, opts convex.Options) (float64, error) {
-	if mu != nil && len(mu) != ws.in.T {
+	if len(mu) != ws.in.T {
 		return 0, fmt.Errorf("loadbalance: mu covers %d slots, want %d", len(mu), ws.in.T)
+	}
+	for t, row := range mu {
+		if len(row) != ws.in.N {
+			return 0, fmt.Errorf("loadbalance: mu[%d] covers %d SBSs, want %d", t, len(row), ws.in.N)
+		}
+	}
+	for i := range ws.slots {
+		s := &ws.slots[i]
+		if err := s.checkMu(mu[s.t][s.n]); err != nil {
+			return 0, err
+		}
 	}
 	opts, err := withDefaults(opts)
 	if err != nil {

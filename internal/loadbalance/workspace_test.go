@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"edgecache/internal/convex"
@@ -66,6 +67,11 @@ func randomMu(rng *rand.Rand, in *model.Instance, scale float64) [][][]float64 {
 	return mu
 }
 
+// zeroMu returns all-zero multipliers for in.
+func zeroMu(in *model.Instance) [][][]float64 {
+	return randomMu(rand.New(rand.NewPCG(0, 0)), in, 0)
+}
+
 // TestWorkspaceDualMatchesReference drives a workspace through a warm-
 // started dual-iteration sequence — the access pattern of Algorithm 1 —
 // and checks each iteration is byte-identical to the reference path:
@@ -120,37 +126,28 @@ func TestWorkspaceDualMatchesReference(t *testing.T) {
 	}
 }
 
-// genericDual runs slot s's dual solve through convex.Workspace.Minimize
-// over the slot's view — the path the dual kernel replaces — from the
-// slot's current iterate, leaving the iterate untouched.
-func genericDual(t testing.TB, s *slotState, mu []float64, opts convex.Options) ([]float64, float64, int) {
-	t.Helper()
-	x0 := append([]float64(nil), s.gather(s.yC, s.y)...)
-	s.mu = nil
-	if mu != nil {
-		s.mu = s.gather(s.muC, mu)
-	}
-	var cw convex.Workspace
-	opts, err := withDefaults(opts)
+// referenceDual runs slot s's dual solve for the μ row mu through the
+// reference SlotProblem.Solve from the slot's current iterate, leaving the
+// iterate untouched. It returns the solution, its objective and the
+// gradient steps taken.
+func referenceDual(tb testing.TB, in *model.Instance, s *slotState, mu []float64, opts convex.Options) ([]float64, float64, int) {
+	tb.Helper()
+	steps := mGradSteps.Value()
+	y, value, err := ForInstance(in, s.t, s.n, mu, nil).Solve(append([]float64(nil), s.y...), opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	res, err := cw.Minimize(s.prob, x0, make([]float64, len(x0)), opts)
-	s.mu = nil
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.X, res.Value, res.Iterations
+	return y, value, int(mGradSteps.Value() - steps)
 }
 
-// TestDualKernelMatchesReference drives the dual kernel through all four
-// of its loop variants (ŵ ≡ 0 or not × μ nil or not) on dense and sparse
-// planes, with a bandwidth loose enough that the θ = 0 clamp is the
-// projection and one tight enough that the bisection fallback runs. Each
-// warm-started iteration must match the generic convex path bit for bit
-// (iterate, objective and gradient-step count) and the reference
-// SlotProblem.Solve sweep value for value. Then pinRounds drives the pin
-// certificate on the same planes.
+// TestDualKernelMatchesReference drives the dual kernel through both of
+// its dual loop variants (ŵ ≡ 0 or not) on dense and sparse planes, from
+// zero duals and from random ones, with a bandwidth loose enough that the
+// θ = 0 clamp is the projection and one tight enough that the bisection
+// fallback runs. Each warm-started iteration must match the reference
+// SlotProblem.Solve bit for bit, slot by slot (iterate, objective and
+// gradient-step count) and over the whole sweep. Then pinRounds drives the
+// pin certificate on the same planes.
 func TestDualKernelMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		sbsCost, bandwidth float64
@@ -176,7 +173,7 @@ func TestDualKernelMatchesReference(t *testing.T) {
 		}
 		ws := NewWorkspace()
 		ws.Bind(in)
-		if ws.slots[0].dense == c.sparse {
+		if sparse := ws.slots[0].act != nil; sparse != c.sparse {
 			t.Fatalf("%+v: plane density does not match the case", c)
 		}
 
@@ -185,23 +182,20 @@ func TestDualKernelMatchesReference(t *testing.T) {
 		var warm []model.LoadPlan
 		binding := 0
 		for iter := 0; iter < 6; iter++ {
-			var mu [][][]float64 // nil on even iterations: the nil-μ variants
-			if iter%2 == 1 {
-				mu = randomMu(rng, in, 0.5)
+			mu := randomMu(rng, in, 0.5)
+			if iter%2 == 0 { // zero duals, as a cold dual loop starts
+				mu = zeroMu(in)
 			}
-			type generic struct {
+			type reference struct {
 				y     []float64
 				value float64
 			}
-			want := make([]generic, len(ws.slots))
+			want := make([]reference, len(ws.slots))
 			steps := 0
-			for i, s := range ws.slots {
-				var row []float64
-				if mu != nil {
-					row = mu[s.t][s.n]
-				}
-				y, value, n := genericDual(t, s, row, opts)
-				want[i] = generic{y, value}
+			for i := range ws.slots {
+				s := &ws.slots[i]
+				y, value, n := referenceDual(t, in, s, mu[s.t][s.n], opts)
+				want[i] = reference{y, value}
 				steps += n
 			}
 			wantPlans, wantTotal := referenceSolveAll(t, in, mu, warm, opts)
@@ -213,21 +207,21 @@ func TestDualKernelMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := int(mGradSteps.Value() - stepsBefore); got != steps {
-				t.Fatalf("%+v iter %d: kernel took %d gradient steps, generic path %d", c, iter, got, steps)
+				t.Fatalf("%+v iter %d: kernel took %d gradient steps, reference %d", c, iter, got, steps)
 			}
-			for i, s := range ws.slots {
-				got := s.gather(s.yC, s.y)
-				for j := range got {
-					if math.Float64bits(got[j]) != math.Float64bits(want[i].y[j]) {
-						t.Fatalf("%+v iter %d slot %d: kernel y[%d] = %v, generic %v", c, iter, i, j, got[j], want[i].y[j])
+			for i := range ws.slots {
+				s := &ws.slots[i]
+				for j, v := range s.y {
+					if math.Float64bits(v) != math.Float64bits(want[i].y[j]) {
+						t.Fatalf("%+v iter %d slot %d: kernel y[%d] = %v, reference %v", c, iter, i, j, v, want[i].y[j])
 					}
 				}
 				if math.Float64bits(ws.objs[i]) != math.Float64bits(want[i].value) {
-					t.Fatalf("%+v iter %d slot %d: kernel objective %v, generic %v", c, iter, i, ws.objs[i], want[i].value)
+					t.Fatalf("%+v iter %d slot %d: kernel objective %v, reference %v", c, iter, i, ws.objs[i], want[i].value)
 				}
 				var load float64
-				for j, v := range got {
-					load += s.vlam[j] * v
+				for j, v := range s.y {
+					load += s.lambda[j] * v
 				}
 				if load > s.bw-1e-6 {
 					binding++
@@ -244,39 +238,150 @@ func TestDualKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSolveDualRejectsInvalidMu checks that SolveDual admits only the μ
+// its exactness argument covers: one finite, non-negative row per
+// (t, n). A negative μ on a coordinate without demand would move that
+// coordinate in the reference while the kernel leaves it at 0.
+func TestSolveDualRejectsInvalidMu(t *testing.T) {
+	in := &model.Instance{
+		N: 1, K: 3, T: 1,
+		Classes:   []int{1},
+		CacheCap:  []int{1},
+		Bandwidth: []float64{1.95},
+		OmegaBS:   [][]float64{{1}},
+		OmegaSBS:  [][]float64{{0}},
+		Beta:      []float64{1},
+	}
+	in.Demand = model.NewDemand(1, in.Classes, in.K)
+	in.Demand.Set(0, 0, 0, 0, 1)
+	in.Demand.Set(0, 0, 0, 1, 1)
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	ws.Bind(in)
+	opts := convex.Options{StepTol: 1e-7, MaxIter: 300}
+	for _, c := range []struct {
+		name string
+		mu   [][][]float64
+	}{
+		{"nil", nil},
+		{"short horizon", [][][]float64{}},
+		{"nil slot", [][][]float64{nil}},
+		{"nil row", [][][]float64{{nil}}},
+		{"short row", [][][]float64{{{0.1, 0.1}}}},
+		{"negative without demand", [][][]float64{{{0.1, 0.1, -1}}}},
+		{"negative with demand", [][][]float64{{{-0.1, 0.1, 0}}}},
+		{"NaN", [][][]float64{{{0.1, math.NaN(), 0}}}},
+		{"+Inf", [][][]float64{{{0.1, 0.1, math.Inf(1)}}}},
+	} {
+		if _, err := ws.SolveDual(context.Background(), c.mu, opts); err == nil {
+			t.Errorf("%s μ accepted", c.name)
+		}
+	}
+	if _, err := ws.SolveDual(context.Background(), [][][]float64{{{0.1, 0.1, 0}}}, opts); err != nil {
+		t.Fatalf("valid μ rejected: %v", err)
+	}
+
+	// Over many slots, a bad entry in the last row must be caught before
+	// any slot is solved: no iterate may move.
+	multi := paperInstance(t, nil)
+	ws.Bind(multi)
+	rng := rand.New(rand.NewPCG(3, 4))
+	short := convex.Options{StepTol: 1e-12, MaxIter: 3}
+	if _, err := ws.SolveDual(context.Background(), randomMu(rng, multi, 0.5), short); err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]float64, len(ws.slots))
+	for i := range ws.slots {
+		before[i] = append([]float64(nil), ws.slots[i].y...)
+	}
+	mu := randomMu(rng, multi, 0.5)
+	last := mu[multi.T-1][multi.N-1]
+	last[len(last)-1] = math.NaN()
+	if _, err := ws.SolveDual(context.Background(), mu, short); err == nil {
+		t.Fatal("NaN in the last μ row accepted")
+	}
+	for i := range ws.slots {
+		for j, v := range before[i] {
+			if math.Float64bits(ws.slots[i].y[j]) != math.Float64bits(v) {
+				t.Fatalf("rejected solve moved slot %d y[%d] from %v to %v", i, j, v, ws.slots[i].y[j])
+			}
+		}
+	}
+	last[len(last)-1] = 0
+	if _, err := ws.SolveDual(context.Background(), mu, short); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(ws.slots[0].y, before[0]) {
+		t.Fatal("the valid μ leaves slot 0 where it was; the check above shows nothing")
+	}
+}
+
 // TestWorkspaceRecoverMatchesReference checks the workspace recovery —
-// greedy and FISTA paths, on dense planes and on sparse ones (where the
-// FISTA path runs over the compact active view) — against
-// OptimalGivenPlacement, and that it leaves the dual iterates untouched.
+// the greedy path and the kernel — against OptimalGivenPlacement bit for
+// bit, and that it leaves the dual iterates untouched. The kernel runs on
+// dense planes and on sparse ones, with a bandwidth that binds (the
+// bisection of projection.BoxKnapsack) and one that does not, and on
+// planes where ŵ·λ ≡ 0 at an SBS with ŵ ≢ 0: one with demand only in a
+// class without SBS cost, and one without demand at all.
 func TestWorkspaceRecoverMatchesReference(t *testing.T) {
 	for _, c := range []struct {
-		sbsCost float64
-		opts    []workload.Option
+		sbsCost, bandwidth        float64
+		sparse, tight, zeroPlanes bool
 	}{
-		{0, nil},
-		{0.3, nil},
-		{0, []workload.Option{workload.WithSparse(3)}},
-		{0.3, []workload.Option{workload.WithSparse(3)}},
+		{0, 30, false, false, false},
+		{0.3, 30, false, false, false},
+		{0, 30, true, false, false},
+		{0.3, 30, true, false, false},
+		{0.3, 1, false, true, false},
+		{0.3, 0.1, true, true, false},
+		{0.3, 30, false, false, true},
 	} {
-		sbsCost := c.sbsCost
 		cfg := workload.PaperDefault()
 		cfg.N = 2
 		cfg.T = 4
 		cfg.K = 10
 		cfg.ClassesPerSBS = 3
-		cfg.OmegaSBSRatio = sbsCost
-		in, err := workload.BuildInstanceWith(cfg, c.opts...)
+		cfg.OmegaSBSRatio = c.sbsCost
+		cfg.Bandwidth = c.bandwidth
+		var wopts []workload.Option
+		if c.sparse {
+			wopts = append(wopts, workload.WithSparse(3))
+		}
+		in, err := workload.BuildInstanceWith(cfg, wopts...)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if c.zeroPlanes {
+			// SBS 1's class 0 carries no SBS cost; at slot 2 it has the only
+			// demand of the plane, and at slot 1 SBS 0 has none.
+			in.OmegaSBS[1][0] = 0
+			for m := 0; m < in.Classes[0]; m++ {
+				for k := 0; k < in.K; k++ {
+					in.Demand.Set(1, 0, m, k, 0)
+					if m > 0 {
+						in.Demand.Set(2, 1, m, k, 0)
+					}
+				}
+			}
 		}
 
 		ws := NewWorkspace()
 		ws.Bind(in)
-		if c.opts != nil && ws.slots[0].dense {
-			t.Fatal("sparse input bound a dense plane — the compact view is not exercised")
+		if c.sparse && ws.slots[0].act == nil {
+			t.Fatal("sparse input bound a dense plane — positions without demand are not exercised")
+		}
+		if c.zeroPlanes {
+			if s := &ws.slots[1*in.N+0]; s.greedy || !s.whZero || len(s.act) != 0 || s.act == nil {
+				t.Fatalf("slot (1, 0) is not an all-zero plane at an SBS with ŵ ≢ 0")
+			}
+			if s := &ws.slots[2*in.N+1]; s.greedy || !s.whZero || s.act == nil || len(s.act) == 0 {
+				t.Fatalf("slot (2, 1) does not have ŵ·λ ≡ 0 with demand at an SBS with ŵ ≢ 0")
+			}
 		}
 		opts := convex.Options{StepTol: 1e-6, MaxIter: 600}
-		rng := rand.New(rand.NewPCG(9, uint64(sbsCost*10)))
+		rng := rand.New(rand.NewPCG(9, uint64(c.sbsCost*10)))
 		if _, err := ws.SolveDual(context.Background(), randomMu(rng, in, 2.0), opts); err != nil {
 			t.Fatal(err)
 		}
@@ -303,21 +408,36 @@ func TestWorkspaceRecoverMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		binding := 0
 		for tt := 0; tt < in.T; tt++ {
 			wantY, err := OptimalGivenPlacement(in, tt, xPlans[tt])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(traj[tt].Y, wantY) {
-				t.Fatalf("ωSBS=%g slot %d: recovered split diverges from OptimalGivenPlacement", sbsCost, tt)
+			for n := range wantY {
+				var load float64
+				for m := range wantY[n] {
+					for k, v := range wantY[n][m] {
+						if got := traj[tt].Y[n][m][k]; math.Float64bits(got) != math.Float64bits(v) {
+							t.Fatalf("%+v (t=%d, n=%d, m=%d, k=%d): recovered %v, OptimalGivenPlacement %v", c, tt, n, m, k, got, v)
+						}
+						load += in.Demand.At(tt, n, m, k) * v
+					}
+				}
+				if load > in.BandwidthAt(tt, n)-1e-6 {
+					binding++
+				}
 			}
 			if !reflect.DeepEqual(traj[tt].X, xPlans[tt]) {
-				t.Fatalf("ωSBS=%g slot %d: recovered X diverges", sbsCost, tt)
+				t.Fatalf("%+v slot %d: recovered X diverges", c, tt)
 			}
+		}
+		if c.tight != (binding > 0) {
+			t.Fatalf("%+v: %d binding recoveries, want them exactly on the tight bandwidth", c, binding)
 		}
 		for i := range savedY {
 			if !reflect.DeepEqual(savedY[i], ws.slots[i].y) {
-				t.Fatalf("ωSBS=%g: recovery clobbered the dual iterate of slot %d", sbsCost, i)
+				t.Fatalf("%+v: recovery clobbered the dual iterate of slot %d", c, i)
 			}
 		}
 	}
@@ -346,7 +466,7 @@ func TestSteadyStateDualSolveZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := ws.slots[0]
+	s := &ws.slots[0]
 	muRow := mu[0][0]
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := s.solveDual(muRow, opts); err != nil {
@@ -356,8 +476,8 @@ func TestSteadyStateDualSolveZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state slot dual solve allocates %.0f objects/op, want 0", allocs)
 	}
 	// A moving μ (the service regime: every solve is a full FISTA run,
-	// not a restart at a fixed point) and nil μ stay allocation-free too.
-	rows := [][]float64{randomMu(rng, in, 2.0)[0][0], nil, muRow}
+	// not a restart at a fixed point) and zero μ stay allocation-free too.
+	rows := [][]float64{randomMu(rng, in, 2.0)[0][0], zeroMu(in)[0][0], muRow}
 	i := 0
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := s.solveDual(rows[i%len(rows)], opts); err != nil {
