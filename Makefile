@@ -87,14 +87,15 @@ bench-diff:
 
 # Trace demo: run a small faulted scenario with span tracing on and
 # assert the emitted Chrome trace parses with the expected hierarchy
-# (run > version > window_solve > solve > dual_batch > phase). The
+# (run > version > window_solve > solve > dual_batch > phase) and that
+# solve spans report where their upper bound came from. The
 # artifact is viewable at https://ui.perfetto.dev.
 TRACE_OUT ?= trace-demo.json
 trace-demo:
 	$(GO) run ./cmd/jocsim -T 16 -algs rhc -w 4 -trace-spans "$(TRACE_OUT)" \
 		-faults "outage:n=0,from=6,to=10" -fault-seed 1 -flight
 	$(GO) run ./cmd/tracecheck -min-depth 4 \
-		-require run,version,window_solve,solve,dual_batch,loadbalance "$(TRACE_OUT)"
+		-require run,version,window_solve,solve,dual_batch,loadbalance,solve.ub_source "$(TRACE_OUT)"
 
 cover:
 	$(GO) test -short -cover ./...

@@ -2,12 +2,13 @@
 // the -trace-spans flag: the JSON must parse, every complete event must
 // be well-formed (non-negative timestamps and durations, known parent),
 // the span hierarchy must reach a minimum nesting depth, and required
-// span names must be present. It is the assertion behind `make
-// trace-demo` and the CI trace artifact.
+// span names must be present. A required entry of the form span.attr
+// instead requires some span of that name to carry that attribute. It is
+// the assertion behind `make trace-demo` and the CI trace artifact.
 //
 // Usage:
 //
-//	tracecheck -min-depth 3 -require run,window_solve,loadbalance trace.json
+//	tracecheck -min-depth 3 -require run,window_solve,loadbalance,solve.ub_source trace.json
 package main
 
 import (
@@ -33,7 +34,7 @@ type traceEvent struct {
 
 func main() {
 	minDepth := flag.Int("min-depth", 3, "minimum span nesting depth the trace must reach (root = depth 1)")
-	require := flag.String("require", "", "comma-separated span names that must appear")
+	require := flag.String("require", "", "comma-separated span names (or span.attr attributes) that must appear")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: tracecheck [-min-depth N] [-require a,b,c] trace.json")
@@ -76,6 +77,9 @@ func check(path string, minDepth int, required []string) error {
 		}
 		spans++
 		seen[e.Name] = true
+		for k := range e.Args {
+			seen[e.Name+"."+k] = true
+		}
 		if e.TS < 0 || e.Dur < 0 {
 			return fmt.Errorf("%s: event %d (%s): negative ts/dur", path, i, e.Name)
 		}
@@ -126,7 +130,7 @@ func check(path string, minDepth int, required []string) error {
 		}
 	}
 	if len(missing) > 0 {
-		return fmt.Errorf("%s: required span name(s) missing: %s", path, strings.Join(missing, ", "))
+		return fmt.Errorf("%s: required span name(s) or attribute(s) missing: %s", path, strings.Join(missing, ", "))
 	}
 
 	// Reconstruct the deepest chain for the summary line.

@@ -8,8 +8,12 @@
 // load-balancing subproblem P2 (package loadbalance — smooth convex). The
 // dual is ascended by a projected subgradient g = y − x with diminishing
 // step δ_l = 1/(1 + αl) (eqs. 15–17); every iteration also recovers a
-// feasible primal by fixing the P1 placement and re-solving the best load
+// feasible primal by fixing a placement and re-solving the best load
 // split subject to y ≤ x, which provides the upper bound of Algorithm 1.
+// The placements recovered are the iteration's P1 placement (the
+// Lagrangian candidate) and, from the second iteration on, the rounded
+// running mean of the P1 placements so far (the ergodic candidate: the
+// averaged-iterate primal recovery of subgradient methods).
 //
 // Solve returns the best feasible solution found, together with the dual
 // lower bound and the achieved gap — exactly the bookkeeping in the
@@ -41,9 +45,20 @@ var (
 	mGapHist   = obs.Default.Histogram("core.final_gap")
 	mIterHist  = obs.Default.Histogram("core.iterations_per_solve")
 	// Dual-loop yield: solves whose dual iterations beat the seeded upper
-	// bound, and the last iteration that improved it (0: never beaten).
+	// bound, solves that returned an ergodic candidate, and the last
+	// iteration that improved the bound (0: never beaten).
 	mUBImproved   = obs.Default.Counter("core.ub_improved")
+	mUBErgodic    = obs.Default.Counter("core.ub_ergodic")
 	mLastImprHist = obs.Default.Histogram("core.last_improving_iter")
+)
+
+// The sources of an upper bound, as the solve span's ub_source reports
+// them: the seed heuristic, an iteration's P1 placement, or the rounded
+// running mean of the P1 placements.
+const (
+	ubSeed       = "seed"
+	ubLagrangian = "lagrangian"
+	ubErgodic    = "ergodic"
 )
 
 // dualBatchSpanSize groups dual iterations into one "dual_batch" span
@@ -124,8 +139,9 @@ type Result struct {
 	// Iterations is the number of dual updates performed.
 	Iterations int
 	// LastImprovingIter is the last dual iteration whose recovered
-	// trajectory lowered the upper bound below the seed heuristic's (or an
-	// earlier iteration's); 0 means the seed was never beaten.
+	// trajectory (Lagrangian or ergodic) lowered the upper bound below the
+	// seed heuristic's (or an earlier iteration's); 0 means the seed was
+	// never beaten.
 	LastImprovingIter int
 	// Converged reports whether Gap ≤ Epsilon within MaxIter.
 	Converged bool
@@ -194,17 +210,41 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 
 	res := &Result{LowerBound: math.Inf(-1), Gap: math.Inf(1)}
 	best := math.Inf(1)
+	found := false
+	source := ""
 	stall := 0
+	// Recovery targets: bestTraj holds the best trajectory so far and cand
+	// the one being evaluated; they swap when cand improves on the best.
+	// They and the ergodic state belong to this Solve, so an idle
+	// workspace retains none of them.
+	bestTraj, cand := model.NewTrajectory(in), model.NewTrajectory(in)
+	erg := newErgodic(in)
 
 	// partial is the best-so-far result handed back alongside a context
 	// error: nil until a feasible trajectory exists, so callers can
 	// distinguish "nothing usable" from "usable but unfinished".
 	partial := func() *Result {
-		if res.Trajectory == nil {
+		if !found {
 			return nil
 		}
+		res.Trajectory = bestTraj
 		res.Mu = mu
 		return res
+	}
+
+	// improve takes the trajectory just recovered into cand as the best
+	// when it lowers the upper bound by more than a relative 1e-9 (the
+	// first one always does), and reports whether it did. The recovery
+	// targets swap instead of copying.
+	improve := func(src string) bool {
+		br := in.TotalCost(cand)
+		if found && !(br.Total < best-1e-9*(1+math.Abs(best))) {
+			return false
+		}
+		best, found, source = br.Total, true, src
+		res.Cost = br
+		bestTraj, cand = cand, bestTraj
+		return true
 	}
 
 	// Seed the upper bound with the linearised-reward heuristic before any
@@ -212,12 +252,8 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 	// gap that the subgradient never closes, while the seed is near-optimal
 	// at both β extremes (myopic top-C at β = 0, near-static as β → ∞).
 	if seed, err := ws.linearizedPlacements(ctx, in); err == nil {
-		if traj, err := ws.p2.Recover(ctx, seed, p2Settings); err == nil {
-			if br := in.TotalCost(traj); br.Total < best {
-				best = br.Total
-				res.Trajectory = traj
-				res.Cost = br
-			}
+		if err := ws.p2.Recover(ctx, seed, cand, p2Settings); err == nil {
+			improve(ubSeed)
 		}
 	}
 
@@ -279,21 +315,25 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 			res.LowerBound = dual
 		}
 
-		// Primal recovery: keep x, re-solve y subject to y ≤ x.
+		// Primal recovery: keep x, re-solve y subject to y ≤ x, for the
+		// Lagrangian candidate and then for the ergodic one.
 		recSpan := batch.Child("recover")
 		recSpan.Set("iter", l)
 		recStart := time.Now()
-		traj, err := ws.p2.Recover(ctx, xPlans, p2Settings)
+		err = ws.p2.Recover(ctx, xPlans, cand, p2Settings)
+		improved := err == nil && improve(ubLagrangian)
+		if err == nil && erg.step(in, xPlans, l) {
+			if err = ws.p2.Recover(ctx, erg.cand, cand, p2Settings); err == nil && improve(ubErgodic) {
+				improved = true
+			}
+		}
 		recSpan.End()
 		if err != nil {
 			return partialOnCtx(ctx, partial), fmt.Errorf("core: iteration %d: %w", l, err)
 		}
 		recDur := time.Since(recStart)
 		mRecover.Observe(recDur)
-		if br := in.TotalCost(traj); res.Trajectory == nil || br.Total < best-1e-9*(1+math.Abs(best)) {
-			best = br.Total
-			res.Trajectory = traj
-			res.Cost = br
+		if improved {
 			res.LastImprovingIter = l
 			stall = 0
 		} else {
@@ -349,9 +389,10 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 		}
 	}
 
-	if res.Trajectory == nil {
+	if !found {
 		return nil, errors.New("core: no feasible solution recovered")
 	}
+	res.Trajectory = bestTraj
 	res.Mu = mu
 	if res.Converged {
 		mConverged.Inc()
@@ -359,11 +400,15 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 	if res.LastImprovingIter > 0 {
 		mUBImproved.Inc()
 	}
+	if source == ubErgodic {
+		mUBErgodic.Inc()
+	}
 	mGapHist.Observe(res.Gap)
 	mIterHist.Observe(float64(res.Iterations))
 	mLastImprHist.Observe(float64(res.LastImprovingIter))
 	solveSpan.Set("iterations", res.Iterations)
 	solveSpan.Set("last_improving_iter", res.LastImprovingIter)
+	solveSpan.Set("ub_source", source)
 	solveSpan.Set("converged", res.Converged)
 	solveSpan.Set("gap", res.Gap)
 	if tel.Enabled() {
@@ -377,6 +422,72 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 		})
 	}
 	return res, nil
+}
+
+// ergodic is the ergodic candidate of one Solve: the running sum and
+// mean of its iterations' P1 placements, the rounded mean and the
+// previous iteration's rounded mean, each [t][n][k].
+type ergodic struct {
+	sum, mean, cand, prev []model.CachePlan
+	round                 Rounder
+}
+
+func newErgodic(in *model.Instance) *ergodic {
+	plans := func() []model.CachePlan {
+		ps := make([]model.CachePlan, in.T)
+		for t := range ps {
+			ps[t] = model.NewCachePlan(in.N, in.K)
+		}
+		return ps
+	}
+	return &ergodic{sum: plans(), mean: plans(), cand: plans(), prev: plans()}
+}
+
+// step folds iteration l's P1 placements x into the running sum and,
+// from the second iteration on, rounds the running mean x̄_l = Σ x / l
+// with the combiner's policy (Rounder at DefaultRho under each slot's
+// C^t_n) into e.cand. It reports whether the candidate needs a recovery.
+// Recovery is a pure function of the placement, so a candidate equal to
+// x (recovered this iteration) or to the previous candidate (recovered
+// last iteration) is skipped exactly.
+func (e *ergodic) step(in *model.Instance, x []model.CachePlan, l int) bool {
+	for t, plan := range x {
+		for n, row := range plan {
+			sum := e.sum[t][n]
+			for k, v := range row {
+				sum[k] += v
+			}
+		}
+	}
+	if l == 1 {
+		return false
+	}
+	e.cand, e.prev = e.prev, e.cand
+	count := float64(l)
+	for t := range e.sum {
+		for n, sum := range e.sum[t] {
+			mean := e.mean[t][n]
+			for k, v := range sum {
+				mean[k] = v / count
+			}
+		}
+		e.round.Round(in, t, e.mean[t], e.cand[t], DefaultRho)
+	}
+	return !samePlans(e.cand, x) && (l == 2 || !samePlans(e.cand, e.prev))
+}
+
+// samePlans reports whether two placement sequences of one shape agree.
+func samePlans(a, b []model.CachePlan) bool {
+	for t := range a {
+		for n, row := range a[t] {
+			for k, v := range row {
+				if v != b[t][n][k] {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // subgradNorm is the L2 norm of the dual subgradient g = y − x — the

@@ -62,7 +62,10 @@ import (
 // sum here is ever −0), mat.Norm2 skips it, and it leaves the knapsack
 // bisection alone: its load is +0 at every θ, and its raw step ≤ 0 never
 // raises thetaMax, which starts at 0. When a step fails the check (an
-// extrapolation that carries w·y below 0), the solve reruns over act.
+// extrapolation that carries w·y below 0), the solve widens to act at
+// that step and goes on (widen): every pinned coordinate is still +0 in
+// x and y and added +0 to every sum so far, so the run over act from
+// there is the unpinned run.
 // The pin test also asks μ_i ≥ c·w_i exactly (the fused c·w_i − μ_i ≤ 0),
 // which keeps the argument where a compiler fuses cu·w_i + μ_i into one
 // rounding. SolveDual admits only finite μ ≥ 0, the domain of both
@@ -73,11 +76,13 @@ import (
 // coefficients: the slot's own rows (idx nil, every position has demand)
 // or their gather at the plane positions idx. hi is the recovery bound
 // (nil: the unit box); pinned marks a run that holds coordinates out
-// under the pin certificate and must check it.
+// under the pin certificate and must check it, and muRow is then the
+// whole μ row it widens with.
 type kcoords struct {
 	idx                []int
 	lam, w, wh, mu, hi []float64
 	pinned             bool
+	muRow              []float64
 }
 
 // coords returns the kernel coordinates at the plane positions idx, with
@@ -130,8 +135,36 @@ func (s *slotState) pin(mu []float64) kcoords {
 		}
 	}
 	k := s.coords(s.live, mu, nil)
-	k.pinned = true
+	k.pinned, k.muRow = true, mu
 	return k
+}
+
+// widen turns the pinned run k, whose certificate failed before a step,
+// into the run over act at that step: it scatters the live iterates x
+// and y onto act's positions (a pinned coordinate is +0 in both), sets k
+// to act's coordinates and returns the widened x, y and the step scratch
+// trial and raw, all drawn from the kernel's four buffers.
+func (s *slotState) widen(k *kcoords, x, y, trial, raw []float64) (xw, yw, trialW, rawW []float64) {
+	live := k.idx
+	*k = s.coords(s.act, k.muRow, nil)
+	n := len(k.w)
+	xw, yw = grow(trial, n), grow(raw, n)
+	zero(xw)
+	zero(yw)
+	pos := 0
+	for j, p := range live {
+		if s.act != nil {
+			for s.act[pos] != p {
+				pos++
+			}
+		} else {
+			pos = p
+		}
+		xw[pos], yw[pos] = x[j], y[j]
+	}
+	trialW, rawW = grow(x, n), grow(y, n)
+	s.kx, s.ky, s.kt, s.kraw = xw, yw, trialW, rawW
+	return xw, yw, trialW, rawW
 }
 
 // pinnable is the pin test of one coordinate: a +0 warm start y and
@@ -143,9 +176,9 @@ func pinnable(y, mu, c, w float64) bool {
 // fista is one FISTA run over the coordinates k from the plane point x0,
 // returning the final iterate in res.X (kernel scratch, one entry per
 // coordinate of k). A pinned run checks the pin certificate before every
-// step and reports held = false, with no result, the first time it
-// fails. opts must be checked already.
-func (s *slotState) fista(k *kcoords, x0 []float64, opts convex.Options) (res convex.Result, held bool, err error) {
+// step; the first time it fails, the run widens k to act and goes on.
+// opts must be checked already.
+func (s *slotState) fista(k *kcoords, x0 []float64, opts convex.Options) (res convex.Result, err error) {
 	n := len(k.w)
 	s.kx, s.ky, s.kt, s.kraw = grow(s.kx, n), grow(s.ky, n), grow(s.kt, n), grow(s.kraw, n)
 	x, y, trial, raw := s.kx, s.ky, s.kt, s.kraw
@@ -156,7 +189,7 @@ func (s *slotState) fista(k *kcoords, x0 []float64, opts convex.Options) (res co
 		gatherAt(x, x0, k.idx)
 	}
 	if err := s.project(k, x, x); err != nil {
-		return res, false, fmt.Errorf("convex: projecting start point: %w", err)
+		return res, fmt.Errorf("convex: projecting start point: %w", err)
 	}
 	copy(y, x)
 	uy := mat.Dot(k.w, y)
@@ -175,11 +208,13 @@ func (s *slotState) fista(k *kcoords, x0 []float64, opts convex.Options) (res co
 		res.Iterations = iter + 1
 		cu, cv := -2*(s.a-uy), 2*vy
 		if k.pinned && !(-cu <= c && (s.whZero || cv >= 0)) {
-			return convex.Result{}, false, nil
+			mPinFallbacks.Inc()
+			x, y, trial, raw = s.widen(k, x, y, trial, raw)
+			normFree = opts.StepTol * (1 + float64(len(x)))
 		}
 		if load := s.stepClamp(k, y, trial, raw, alpha, cu, cv); !(load <= s.bw) {
 			if err := s.project(k, trial, raw); err != nil {
-				return res, false, fmt.Errorf("convex: projection failed at iteration %d: %w", iter, err)
+				return res, fmt.Errorf("convex: projection failed at iteration %d: %w", iter, err)
 			}
 		}
 
@@ -216,7 +251,7 @@ func (s *slotState) fista(k *kcoords, x0 []float64, opts convex.Options) (res co
 		}
 	}
 	res.X = x
-	return res, true, nil
+	return res, nil
 }
 
 // project writes the projection of z onto the knapsack over k's box into

@@ -56,9 +56,10 @@ func pricedOut(rng *rand.Rand, c, w float64) float64 {
 //
 // The last round instead starts every live coordinate at 1 and pulls it
 // down with μ_i of order L, so the momentum carries the extrapolated load
-// below 0 — past the certificate's −cu ≤ 2A — and the solve reruns over
-// every coordinate with demand. Every solve must match the reference bit
-// for bit, and the counters must show that pins and reruns both happened.
+// below 0 — past the certificate's −cu ≤ 2A — and the solve widens to
+// every coordinate with demand at that step and goes on. Every solve must
+// match the reference bit for bit, its gradient-step count included, and
+// the counters must show that pins and widenings both happened.
 func pinRounds(t *testing.T, name string, ws *Workspace, rng *rand.Rand, opts convex.Options) {
 	t.Helper()
 	pinned, fallbacks := mPinnedCoords.Value(), mPinFallbacks.Value()
@@ -96,7 +97,7 @@ func pinRounds(t *testing.T, name string, ws *Workspace, rng *rand.Rand, opts co
 		t.Fatalf("%s: no coordinate was pinned", name)
 	}
 	if mPinFallbacks.Value() == fallbacks {
-		t.Fatalf("%s: no solve fell back to every coordinate with demand", name)
+		t.Fatalf("%s: no solve widened to every coordinate with demand", name)
 	}
 }
 

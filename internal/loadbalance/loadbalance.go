@@ -42,7 +42,7 @@ var (
 
 	// The dual kernel's pin certificate (kernel.go): the λ ≠ 0
 	// coordinates of its dual solves, those held out of the iteration as
-	// priced out, and the solves that reran over every λ ≠ 0 coordinate
+	// priced out, and the solves that widened to every λ ≠ 0 coordinate
 	// when the certificate broke.
 	mViewCoords   = obs.Default.Counter("loadbalance.p2_view_coords")
 	mPinnedCoords = obs.Default.Counter("loadbalance.p2_pinned_coords")

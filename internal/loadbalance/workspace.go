@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"edgecache/internal/convex"
@@ -69,9 +68,11 @@ type slotState struct {
 
 	// act lists the positions with λ ≠ 0, the only ones a solve moves
 	// (kernel.go); nil when every position has demand. An all-zero plane
-	// has an empty, non-nil act.
-	act   []int
-	zeros []float64 // aliases Workspace.zeros: recovery's start and lower bound
+	// has an empty, non-nil act. actBuf is its backing array, grown only
+	// for a plane with a zero and kept when act is nil, so a rebind
+	// refills it in place.
+	act, actBuf []int
+	zeros       []float64 // aliases Workspace.zeros: recovery's start and lower bound
 
 	y  []float64 // persistent dual iterate — the warm start
 	hi []float64 // recovery upper bounds
@@ -128,7 +129,13 @@ func (ws *Workspace) Bind(in *model.Instance) {
 		}
 		ws.recFn = func(i int) error {
 			s := &ws.slots[i]
-			if err := s.recover(ws.recX[s.t][s.n], ws.recTraj[s.t].Y[s.n], ws.opts); err != nil {
+			d := ws.recTraj[s.t]
+			xn, yn := ws.recX[s.t][s.n], d.Y[s.n]
+			copy(d.X[s.n], xn)
+			for _, row := range yn {
+				zero(row)
+			}
+			if err := s.recover(xn, yn, ws.opts); err != nil {
 				return fmt.Errorf("loadbalance: slot %d SBS %d: %w", s.t, s.n, err)
 			}
 			return nil
@@ -171,30 +178,36 @@ func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 	s.zeros = zeros[:dim]
 
 	// Greedy recovery order: classes by descending ω, stable (ties keep
-	// class-index order) — the permutation of the reference sort.
-	if cap(s.order) < m {
-		s.order = make([]int, m)
-	} else {
-		s.order = s.order[:m]
-	}
-	for i := range s.order {
-		s.order[i] = i
-	}
+	// class-index order) — the permutation of the reference sort, by an
+	// insertion sort over the few classes that allocates nothing.
+	s.order = growInts(s.order, m)
 	omega := in.OmegaBS[n]
-	order := s.order
-	sort.SliceStable(order, func(i, j int) bool { return omega[order[i]] > omega[order[j]] })
-
-	act := s.act[:0]
-	if act == nil {
-		act = make([]int, 0, dim)
+	for i := range s.order {
+		j := i
+		for ; j > 0 && omega[i] > omega[s.order[j-1]]; j-- {
+			s.order[j] = s.order[j-1]
+		}
+		s.order[j] = i
 	}
+
+	active := 0
+	for _, v := range s.lambda {
+		if v != 0 {
+			active++
+		}
+	}
+	if active == dim {
+		s.act = nil
+		return
+	}
+	if s.actBuf == nil || cap(s.actBuf) < active {
+		s.actBuf = make([]int, 0, dim)
+	}
+	act := s.actBuf[:0]
 	for i, v := range s.lambda {
 		if v != 0 {
 			act = append(act, i)
 		}
-	}
-	if len(act) == dim {
-		act = nil
 	}
 	s.act = act
 }
@@ -246,19 +259,14 @@ func (s *slotState) checkMu(mu []float64) error {
 }
 
 // solveDual runs this slot's warm-started dual solve under the μ row mu
-// on the dual kernel, over the live coordinates pin leaves or, when the
-// pin certificate breaks, over act. It leaves the iterate in s.y for the
-// next iteration and returns the objective value. opts is already
-// checked, and so is mu (checkMu).
+// on the dual kernel, over the live coordinates pin leaves or, from the
+// step where the pin certificate breaks, over act. It leaves the iterate
+// in s.y for the next iteration and returns the objective value. opts is
+// already checked, and so is mu (checkMu).
 func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error) {
 	start := time.Now()
 	k := s.pin(mu)
-	res, held, err := s.fista(&k, s.y, opts)
-	if err == nil && !held {
-		mPinFallbacks.Inc()
-		k = s.coords(s.act, mu, nil)
-		res, _, err = s.fista(&k, s.y, opts)
-	}
+	res, err := s.fista(&k, s.y, opts)
 	if err != nil {
 		return 0, err
 	}
@@ -300,7 +308,7 @@ func (s *slotState) recover(xn []float64, yn [][]float64, opts convex.Options) e
 	}
 	start := time.Now()
 	k := s.coords(s.act, nil, s.hi)
-	res, _, err := s.fista(&k, s.zeros, opts)
+	res, err := s.fista(&k, s.zeros, opts)
 	if err != nil {
 		return err
 	}
@@ -424,27 +432,33 @@ func (ws *Workspace) ExportPlans() []model.LoadPlan {
 
 // Recover completes integral placements into a feasible trajectory — the
 // UB evaluation of Algorithm 1 — solving the (t, n) recovery subproblems
-// on the shared pool. Zero fields of opts take the standalone setting.
-// The returned trajectory owns freshly allocated plans; the dual iterates
-// are untouched.
-func (ws *Workspace) Recover(ctx context.Context, xPlans []model.CachePlan, opts convex.Options) (model.Trajectory, error) {
+// on the shared pool. It writes into dst, which the caller owns and which
+// must be shaped for the bound instance (model.NewTrajectory): dst[t].X
+// receives a copy of xPlans[t] and dst[t].Y the recovered load split, so
+// a caller that reuses dst recovers without allocating. Zero fields of
+// opts take the standalone setting. The dual iterates are untouched.
+func (ws *Workspace) Recover(ctx context.Context, xPlans []model.CachePlan, dst model.Trajectory, opts convex.Options) error {
 	in := ws.in
 	if len(xPlans) != in.T {
-		return nil, fmt.Errorf("loadbalance: %d placements for horizon %d", len(xPlans), in.T)
+		return fmt.Errorf("loadbalance: %d placements for horizon %d", len(xPlans), in.T)
+	}
+	if len(dst) != in.T {
+		return fmt.Errorf("loadbalance: trajectory covers %d slots, want %d", len(dst), in.T)
+	}
+	for t, d := range dst {
+		if err := in.CheckCacheShape(d.X); err != nil {
+			return fmt.Errorf("loadbalance: slot %d: %w", t, err)
+		}
+		if err := in.CheckLoadShape(d.Y); err != nil {
+			return fmt.Errorf("loadbalance: slot %d: %w", t, err)
+		}
 	}
 	opts, err := withDefaults(opts)
 	if err != nil {
-		return nil, fmt.Errorf("loadbalance: %w", err)
+		return fmt.Errorf("loadbalance: %w", err)
 	}
-	traj := make(model.Trajectory, in.T)
-	for t := range traj {
-		traj[t] = model.SlotDecision{X: xPlans[t].Clone(), Y: model.NewLoadPlan(in.Classes, in.K)}
-	}
-	ws.recX, ws.recTraj, ws.opts = xPlans, traj, opts
+	ws.recX, ws.recTraj, ws.opts = xPlans, dst, opts
 	err = parallel.For(ctx, len(ws.slots), 0, ws.recFn)
 	ws.recX, ws.recTraj = nil, nil
-	if err != nil {
-		return nil, err
-	}
-	return traj, nil
+	return err
 }

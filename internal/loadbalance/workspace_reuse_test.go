@@ -30,8 +30,9 @@ func reuseTestInstance(t *testing.T, horizon int) *model.Instance {
 
 // TestRecoveryReplayMatchesSolve checks that recovery leaves no state
 // behind that a later call could read: a repeated Recover on a reused
-// workspace returns the identical load split, and after one placement
-// flips, the reused workspace's recovery equals a fresh workspace's.
+// workspace into the same trajectory returns the identical load split,
+// and after one placement flips, the reused workspace's recovery equals
+// a fresh workspace's.
 func TestRecoveryReplayMatchesSolve(t *testing.T) {
 	in := reuseTestInstance(t, 3)
 	ws := NewWorkspace()
@@ -64,34 +65,72 @@ func TestRecoveryReplayMatchesSolve(t *testing.T) {
 			}
 		}
 	}
+	recoverInto := func(ws *Workspace, dst model.Trajectory) model.Trajectory {
+		t.Helper()
+		if err := ws.Recover(context.Background(), xPlans, dst, opts); err != nil {
+			t.Fatal(err)
+		}
+		for tt := range dst {
+			for n := range dst[tt].X {
+				for k, v := range dst[tt].X[n] {
+					if v != xPlans[tt][n][k] {
+						t.Fatalf("recovered placement differs at (t=%d, n=%d, k=%d)", tt, n, k)
+					}
+				}
+			}
+		}
+		return dst
+	}
 	fresh := func() model.Trajectory {
 		t.Helper()
 		wsFresh := NewWorkspace()
 		wsFresh.Bind(in)
-		want, err := wsFresh.Recover(context.Background(), xPlans, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return want
+		return recoverInto(wsFresh, model.NewTrajectory(in))
 	}
 
-	first, err := ws.Recover(context.Background(), xPlans, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := ws.Recover(context.Background(), xPlans, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The repeated recoveries write into one reused trajectory, so each
+	// overwrites the last one's load split.
+	dst := model.NewTrajectory(in)
+	first := recoverInto(ws, dst).Clone()
+	second := recoverInto(ws, dst)
 	same("repeated", second, first)
 	same("reused-workspace", second, fresh())
 
 	// Flip one placement: the reused workspace must match a fresh
 	// workspace's recovery of the new placements.
 	xPlans[1][0][2] = 1 - xPlans[1][0][2]
-	third, err := ws.Recover(context.Background(), xPlans, opts)
+	third := recoverInto(ws, dst)
+	same("post-flip", third, fresh())
+}
+
+// TestRebindZeroAllocs checks that a window rebind is allocation-free:
+// a second Bind of the same instance, dense (every act nil) or sparse,
+// refills the buffers of the first.
+func TestRebindZeroAllocs(t *testing.T) {
+	cfg := workload.PaperDefault()
+	cfg.N = 2
+	cfg.T = 6
+	dense, err := workload.BuildInstance(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same("post-flip", third, fresh())
+	for _, c := range []struct {
+		name string
+		in   *model.Instance
+	}{{"dense", dense}, {"sparse", sparseInstance(t)}} {
+		ws := NewWorkspace()
+		ws.Bind(c.in)
+		nilAct := 0
+		for i := range ws.slots {
+			if ws.slots[i].act == nil {
+				nilAct++
+			}
+		}
+		if dense := c.name == "dense"; dense != (nilAct == len(ws.slots)) {
+			t.Fatalf("%s: %d of %d slots have every position active", c.name, nilAct, len(ws.slots))
+		}
+		if allocs := testing.AllocsPerRun(10, func() { ws.Bind(c.in) }); allocs != 0 {
+			t.Fatalf("%s: rebind allocates %.0f objects, want 0", c.name, allocs)
+		}
+	}
 }

@@ -404,8 +404,8 @@ func TestWorkspaceRecoverMatchesReference(t *testing.T) {
 
 		// OptimalGivenPlacement solves at the standalone setting, which
 		// zero options select.
-		traj, err := ws.Recover(context.Background(), xPlans, convex.Options{})
-		if err != nil {
+		traj := model.NewTrajectory(in)
+		if err := ws.Recover(context.Background(), xPlans, traj, convex.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		binding := 0

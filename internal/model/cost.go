@@ -4,6 +4,8 @@ package model
 // (eq. 9): the BS operating cost f_t (eq. 5), the SBS operating cost g_t
 // (eq. 6) and the cache replacement cost h (eq. 8).
 
+import "fmt"
+
 // BSCost returns f_t(Y), the BS operating cost of slot t under load split Y:
 //
 //	f_t(Y) = Σ_n ( Σ_m ω_{m_n} Σ_k (1 − y_{m,k}) λ^t_{m,k} )².
@@ -12,23 +14,7 @@ package model
 func (in *Instance) BSCost(t int, y LoadPlan) float64 {
 	var total float64
 	for n := 0; n < in.N; n++ {
-		// Accumulate per class through the active-coordinate iterator:
-		// classes arrive in ascending order, so flushing w·unserved on
-		// every class change reproduces the dense scan's summation order
-		// (skipped zero-rate terms contribute an exact +0.0).
-		var load, unserved float64
-		cur := 0
-		yn := y[n]
-		omega := in.OmegaBS[n]
-		in.Demand.ForEachActive(t, n, func(m, k int, rate float64) {
-			if m != cur {
-				load += omega[cur] * unserved
-				unserved = 0
-				cur = m
-			}
-			unserved += (1 - yn[m][k]) * rate
-		})
-		load += omega[cur] * unserved
+		load := in.weightedLoad(t, n, y[n], in.OmegaBS[n], true)
 		total += load * load
 	}
 	return total
@@ -40,22 +26,45 @@ func (in *Instance) BSCost(t int, y LoadPlan) float64 {
 func (in *Instance) SBSCost(t int, y LoadPlan) float64 {
 	var total float64
 	for n := 0; n < in.N; n++ {
-		var load, served float64
-		cur := 0
-		yn := y[n]
-		omega := in.OmegaSBS[n]
-		in.Demand.ForEachActive(t, n, func(m, k int, rate float64) {
-			if m != cur {
-				load += omega[cur] * served
-				served = 0
-				cur = m
-			}
-			served += yn[m][k] * rate
-		})
-		load += omega[cur] * served
+		load := in.weightedLoad(t, n, y[n], in.OmegaSBS[n], false)
 		total += load * load
 	}
 	return total
+}
+
+// weightedLoad returns Σ_m ω_m Σ_k v_{m,k} λ^t_{m,k} at SBS n, with
+// v = 1 − y (the unserved load) or v = y (the served load). It
+// accumulates per class through the active-coordinate iterator: classes
+// arrive in ascending order, so flushing ω·sum on every class change
+// reproduces the dense scan's summation order (skipped zero-rate terms
+// contribute an exact +0.0). The iterator is called on the concrete
+// tensor (DemandView is sealed to the two), so the closure stays on the
+// stack: the cost functions run on every recovery of Algorithm 1 and
+// allocate nothing.
+func (in *Instance) weightedLoad(t, n int, yn [][]float64, omega []float64, unserved bool) float64 {
+	var load, sum float64
+	cur := 0
+	visit := func(m, k int, rate float64) {
+		if m != cur {
+			load += omega[cur] * sum
+			sum = 0
+			cur = m
+		}
+		if unserved {
+			sum += (1 - yn[m][k]) * rate
+		} else {
+			sum += yn[m][k] * rate
+		}
+	}
+	switch d := in.Demand.(type) {
+	case *Demand:
+		d.ForEachActive(t, n, visit)
+	case *SparseDemand:
+		d.ForEachActive(t, n, visit)
+	default:
+		panic(fmt.Sprintf("model: unknown demand tensor %T", d))
+	}
+	return load + omega[cur]*sum
 }
 
 // ReplacementCost returns h(X, Xprev) = Σ_n β_n Σ_k (x_{n,k} − xprev_{n,k})⁺,

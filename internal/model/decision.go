@@ -56,7 +56,8 @@ func (p CachePlan) IsIntegral(tol float64) bool {
 
 // Round snaps every entry to the nearer of 0 and 1, in place, and returns p.
 // It is intended for plans already integral up to solver tolerance; use the
-// online package's rounding policy for genuinely fractional plans.
+// rounding policy of package core (core.Rounder) for genuinely fractional
+// plans.
 func (p CachePlan) Round() CachePlan {
 	for _, row := range p {
 		for k, v := range row {

@@ -9,8 +9,9 @@ import (
 // (eq. 1), SBS bandwidth (eq. 2), the caching/load coupling y ≤ x (eq. 3)
 // and the variable domains (eqs. 10–11).
 
-// checkCacheShape verifies the placement has the instance's dimensions.
-func (in *Instance) checkCacheShape(x CachePlan) error {
+// CheckCacheShape verifies the placement has the instance's dimensions
+// [N][K].
+func (in *Instance) CheckCacheShape(x CachePlan) error {
 	if len(x) != in.N {
 		return fmt.Errorf("placement has %d SBSs, want %d", len(x), in.N)
 	}
@@ -22,8 +23,9 @@ func (in *Instance) checkCacheShape(x CachePlan) error {
 	return nil
 }
 
-// checkLoadShape verifies the load split has the instance's dimensions.
-func (in *Instance) checkLoadShape(y LoadPlan) error {
+// CheckLoadShape verifies the load split has the instance's dimensions
+// [N][M_n][K].
+func (in *Instance) CheckLoadShape(y LoadPlan) error {
 	if len(y) != in.N {
 		return fmt.Errorf("load split has %d SBSs, want %d", len(y), in.N)
 	}
@@ -79,10 +81,10 @@ func (in *Instance) CheckSlot(t int, dec SlotDecision, tol float64) error {
 	if t < 0 || t >= in.T {
 		return fmt.Errorf("model: slot %d outside horizon [0, %d)", t, in.T)
 	}
-	if err := in.checkCacheShape(dec.X); err != nil {
+	if err := in.CheckCacheShape(dec.X); err != nil {
 		return fmt.Errorf("model: slot %d: %w", t, err)
 	}
-	if err := in.checkLoadShape(dec.Y); err != nil {
+	if err := in.CheckLoadShape(dec.Y); err != nil {
 		return fmt.Errorf("model: slot %d: %w", t, err)
 	}
 	// Domains (eqs. 10–11).

@@ -138,7 +138,7 @@ func (in *Instance) Validate() error {
 		return err
 	}
 	if in.InitialCache != nil {
-		if err := in.checkCacheShape(in.InitialCache); err != nil {
+		if err := in.CheckCacheShape(in.InitialCache); err != nil {
 			return fmt.Errorf("model: initial cache: %w", err)
 		}
 		if !in.InitialCache.IsIntegral(DefaultTol) {

@@ -3,6 +3,7 @@ package online
 import (
 	"fmt"
 
+	"edgecache/internal/core"
 	"edgecache/internal/model"
 	"edgecache/internal/obs"
 )
@@ -28,6 +29,8 @@ type combiner struct {
 	avgY     model.LoadPlan
 	prevAvgX model.CachePlan
 	prevX    model.CachePlan
+
+	round core.Rounder
 
 	relaxed   float64
 	capSBS    int // slot-SBS pairs where the capacity repair fired
@@ -96,7 +99,8 @@ func (c *combiner) commit(t int) (model.SlotDecision, error) {
 	c.relaxed += in.BSCost(t, c.avgY) + in.SBSCost(t, c.avgY) +
 		in.ReplacementCost(c.prevAvgX, c.avgX)
 
-	x, candidates, capDropped, capSBS := roundPlacement(in, t, c.avgX, cfg.Rho)
+	x := model.NewCachePlan(in.N, in.K)
+	candidates, capDropped, capSBS := c.round.Round(in, t, c.avgX, x, cfg.Rho)
 	var y model.LoadPlan
 	var bwRepaired int
 	if cfg.LoadMode == LoadReactive {

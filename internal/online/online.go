@@ -18,8 +18,9 @@
 // Averaged placements are fractional, so CHC/AFHC apply the paper's
 // rounding policy: x = 1 iff the average ≥ ρ with ρ = (3−√5)/2 (the
 // minimiser of the 2.62-approximation bound of Theorem 3), then y is
-// zeroed wherever x = 0. Two repairs the paper leaves implicit are made
-// explicit here and documented in DESIGN.md: rounding can exceed the cache
+// zeroed wherever x = 0 (core.Rounder, which Algorithm 1 also uses for its
+// ergodic candidate). Two repairs the paper leaves implicit are made
+// explicit and documented in DESIGN.md: rounding can exceed the cache
 // capacity (kept: top-C_n by average), and the committed load split can
 // exceed the true bandwidth because each version budgeted against
 // predicted demand (kept: proportional rescale).
@@ -30,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"edgecache/internal/baseline"
@@ -56,9 +56,6 @@ var (
 	mWindowGapH   = obs.Default.Histogram("online.window_gap")
 	mChurnH       = obs.Default.Histogram("online.slot_churn")
 )
-
-// DefaultRho is the rounding threshold ρ = (3−√5)/2 ≈ 0.382 of Theorem 3.
-var DefaultRho = (3 - math.Sqrt(5)) / 2
 
 // LoadMode selects how the committed load split y is produced.
 type LoadMode int
@@ -127,7 +124,7 @@ type Config struct {
 	Window int
 	// Commitment is the level r ∈ [1, Window]: 1 = RHC, Window = AFHC.
 	Commitment int
-	// Rho is the rounding threshold ρ ∈ (0, 1); 0 selects DefaultRho.
+	// Rho is the rounding threshold ρ ∈ (0, 1); 0 selects core.DefaultRho.
 	Rho float64
 	// LoadMode defaults to LoadPredicted.
 	LoadMode LoadMode
@@ -211,7 +208,7 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("online: commitment %d outside [1, %d]", c.Commitment, c.Window)
 	}
 	if c.Rho == 0 {
-		c.Rho = DefaultRho
+		c.Rho = core.DefaultRho
 	}
 	if c.Rho <= 0 || c.Rho >= 1 {
 		return c, fmt.Errorf("online: rho %g outside (0, 1)", c.Rho)
@@ -230,12 +227,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Core.Epsilon == 0 {
 		c.Core.Epsilon = 1e-3
-	}
-	if c.Core.StallIter == 0 {
-		// Window solves keep iterating a little longer than the generic
-		// default: committed actions feed future windows, so placement
-		// quality compounds.
-		c.Core.StallIter = 15
 	}
 	switch {
 	case c.Retry.Max == 0:
@@ -435,53 +426,6 @@ func shiftMu(mu [][][]float64, prevFrom, prevTo, from, to int, in *model.Instanc
 		}
 	}
 	return out
-}
-
-// cand is a rounding candidate: content k with averaged placement value v.
-type cand struct {
-	k int
-	v float64
-}
-
-// roundPlacement applies the CHC rounding policy with capacity repair:
-// candidates are entries with average ≥ ρ; if more than C_n qualify the
-// top C_n by average survive (ties broken toward smaller k for
-// determinism). It also reports the total number of candidates, how many
-// entries the capacity repair dropped, and at how many SBSs the repair
-// fired — the telemetry of the two repairs DESIGN.md documents: the
-// slot_decision event carries the per-entry drop count, while the
-// online.capacity_drops counter advances once per (slot, SBS).
-// The capacity repair enforces the slot's *effective* C^t_n: under a
-// fault overlay a dead or shrunk SBS has its placements evicted here at
-// commit time (the eviction itself is free under eq. 8 — β_n is charged
-// honestly when items are re-fetched after recovery).
-func roundPlacement(in *model.Instance, t int, avg model.CachePlan, rho float64) (x model.CachePlan, candidates, dropped, droppedSBS int) {
-	x = model.NewCachePlan(in.N, in.K)
-	cands := make([]cand, 0, in.K)
-	for n := 0; n < in.N; n++ {
-		cands = cands[:0]
-		for k := 0; k < in.K; k++ {
-			if avg[n][k] >= rho {
-				cands = append(cands, cand{k, avg[n][k]})
-			}
-		}
-		candidates += len(cands)
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].v != cands[j].v {
-				return cands[i].v > cands[j].v
-			}
-			return cands[i].k < cands[j].k
-		})
-		if c := in.CacheCapAt(t, n); len(cands) > c {
-			dropped += len(cands) - c
-			droppedSBS++
-			cands = cands[:c]
-		}
-		for _, c := range cands {
-			x[n][c.k] = 1
-		}
-	}
-	return x, candidates, dropped, droppedSBS
 }
 
 // predictedLoad zeroes the averaged load split wherever the rounded

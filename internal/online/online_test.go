@@ -2,7 +2,6 @@ package online
 
 import (
 	"context"
-	"math"
 	"strings"
 	"testing"
 
@@ -163,38 +162,6 @@ func TestPerfectPredictionRHCNearOffline(t *testing.T) {
 	}
 }
 
-func TestRoundPlacement(t *testing.T) {
-	in, _ := smallInstance(t, nil)
-	avg := model.NewCachePlan(in.N, in.K)
-	avg[0][0] = 0.9
-	avg[0][1] = 0.5
-	avg[0][2] = 0.45
-	avg[0][3] = 0.2 // below ρ
-	x, candidates, dropped, droppedSBS := roundPlacement(in, 0, avg, DefaultRho)
-	// Capacity 2: top-2 of the three candidates survive.
-	if x[0][0] != 1 || x[0][1] != 1 {
-		t.Fatalf("top candidates dropped: %v", x[0])
-	}
-	if x[0][2] != 0 || x[0][3] != 0 {
-		t.Fatalf("capacity repair failed: %v", x[0])
-	}
-	if candidates != 3 || dropped != 1 || droppedSBS != 1 {
-		t.Fatalf("repair stats = (%d candidates, %d dropped, %d SBSs), want (3, 1, 1)", candidates, dropped, droppedSBS)
-	}
-}
-
-func TestRoundPlacementTieBreak(t *testing.T) {
-	in, _ := smallInstance(t, nil)
-	avg := model.NewCachePlan(in.N, in.K)
-	for k := 0; k < 4; k++ {
-		avg[0][k] = 0.5
-	}
-	x, _, _, _ := roundPlacement(in, 0, avg, DefaultRho)
-	if x[0][0] != 1 || x[0][1] != 1 || x[0][2] != 0 {
-		t.Fatalf("tie break not deterministic toward low indices: %v", x[0])
-	}
-}
-
 func TestPredictedLoadZeroesAndRescales(t *testing.T) {
 	in, _ := smallInstance(t, func(c *workload.InstanceConfig) { c.Bandwidth = 1 })
 	x := model.NewCachePlan(in.N, in.K)
@@ -231,12 +198,6 @@ func TestLoadModeString(t *testing.T) {
 	}
 	if !strings.Contains(LoadMode(7).String(), "7") {
 		t.Fatal("unknown LoadMode not reported")
-	}
-}
-
-func TestDefaultRhoValue(t *testing.T) {
-	if math.Abs(DefaultRho-0.381966) > 1e-5 {
-		t.Fatalf("DefaultRho = %g, want (3−√5)/2 ≈ 0.381966", DefaultRho)
 	}
 }
 

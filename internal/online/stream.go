@@ -126,7 +126,8 @@ func (s *Stream) publish() error {
 	if err := s.comb.average(t, s.xa, s.ya); err != nil {
 		return err
 	}
-	x, _, _, _ := roundPlacement(s.in, t, s.comb.avgX, s.cfg.Rho)
+	x := model.NewCachePlan(s.in.N, s.in.K)
+	s.comb.round.Round(s.in, t, s.comb.avgX, x, s.cfg.Rho)
 	s.planX = x
 	s.planY = nil
 	if s.cfg.LoadMode == LoadPredicted {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"edgecache/internal/audit"
 	"edgecache/internal/fault"
 	"edgecache/internal/online"
 	"edgecache/internal/trace"
@@ -540,30 +542,100 @@ func TestFaultedScheduleDurableRestart(t *testing.T) {
 	}
 }
 
+// checkFormat4Golden requires generation 5 of the state-dir fixture to
+// decode into the envelope whose format-4 encoding is the fixture's
+// checked-in gen.000005.format4 (written from the decode when the
+// fixture's full run still equalled an uninterrupted run, which proved
+// that decode faithful): decode → re-encode must reproduce it byte for
+// byte.
+func checkFormat4Golden(t *testing.T, fixture string, gen *Envelope) {
+	t.Helper()
+	want, err := os.ReadFile(fixture + "/gen.000005.format4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := *gen
+	re.FormatVersion = SnapshotFormatVersion
+	if got := appendSnapshot(nil, &re); !bytes.Equal(got, want) {
+		t.Fatalf("%s: generation 5 re-encodes to %d bytes that differ from the %d-byte format-4 golden", fixture, len(got), len(want))
+	}
+}
+
+// finishFromFixture drives a controller restored from a state-dir
+// fixture, whose open slot holds all its reports, to the end of the
+// horizon and returns its audited result. With killAt > the open slot,
+// the controller is abandoned (Close, as a kill leaves it) after half of
+// slot killAt's reports and reopened from the same dir, which must
+// recover them; the rest of the run continues on the new incarnation.
+func finishFromFixture(t *testing.T, c *Controller, cfg Config, tr *trace.Trace, killAt int) *online.Result {
+	t.Helper()
+	ctx := context.Background()
+	base := testInstance(t)
+	if _, err := c.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for !c.Done() {
+		slot := c.Stats().Slot
+		if slot != killAt {
+			ingestSlot(t, c, tr, slot)
+		} else {
+			var reqs []Request
+			for _, batch := range traceBatches(tr, base.T)[slot] {
+				reqs = append(reqs, batch...)
+			}
+			half := len(reqs) / 2
+			if _, err := c.Ingest(reqs[:half]); err != nil {
+				t.Fatal(err)
+			}
+			ingested := c.Stats().Ingested
+			c.Close()
+			var err error
+			if c, err = Open(ctx, base, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Stats(); got.Slot != slot || got.Ingested != ingested {
+				t.Fatalf("reopened at slot %d with %d reports, killed at %d with %d", got.Slot, got.Ingested, slot, ingested)
+			}
+			if _, err := c.Ingest(reqs[half:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Tick(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer c.Close()
+	res, err := c.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	realised := *base
+	realised.Demand = tr.EmpiricalDemand()
+	if err := audit.Trajectory(&realised, res.Trajectory, nil, audit.Options{}).Err(); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestOpenReadsGenerationWithCompactFlags pins backward compatibility of
 // the durable store: testdata/compactok-state is a state dir written by a
 // version-2 build whose snapshots carried per-slot "compactOK" flags
 // (CHC(4,2), trace seed 19, closed through slot 5) and that still carries
 // every closed slot's per-version actions. No struct field matches the
 // flags any more; the checksum covers the raw bytes, so the JSON
-// generation still verifies. The fixture's wal.000005 is empty; the
+// generation still verifies, and it must decode to the envelope of the
+// fixture's format-4 golden. The fixture's wal.000005 is empty; the
 // first half of slot 5's reports is written into it as a version-2 JSON
 // frame before the first Open, and the second half is ingested after
 // it, so a binary frame follows the JSON one in the reopened segment.
 // The controller must recover both halves across a second Open and
-// finish identical to an uninterrupted run.
+// finish with an audited trajectory, and a run from the same fixture
+// killed and reopened mid-run must finish identical to it.
 func TestOpenReadsGenerationWithCompactFlags(t *testing.T) {
 	ctx := context.Background()
 	base := testInstance(t)
 	tr := trace.Generate(base.Demand, 19)
-	dir := copyStateFixture(t, "testdata/compactok-state")
-	cfg := Config{Online: online.CHC(4, 2), EstimatorFloor: -1, StateDir: dir, SnapKeep: 1}
-	want := goldenResult(t, cfg, tr)
-
-	gen, err := loadGeneration(dir, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const fixture = "testdata/compactok-state"
 	var reqs []Request
 	for _, batch := range traceBatches(tr, base.T)[5] {
 		reqs = append(reqs, batch...)
@@ -572,51 +644,60 @@ func TestOpenReadsGenerationWithCompactFlags(t *testing.T) {
 	if half == 0 {
 		t.Fatalf("slot 5 has %d reports; need 2 to split across formats", len(reqs))
 	}
-	seg := jsonWALFrame(t, walRecord{Seq: gen.WalSeq + 1, Kind: walKindReports, Slot: 5, Reqs: reqs[:half]})
-	if err := os.WriteFile(segPath(dir, 5), seg, 0o644); err != nil {
-		t.Fatal(err)
+
+	// restore copies the fixture, seeds its segment with the JSON frame,
+	// opens it, ingests the second half and reopens it: the controller
+	// it returns holds all of slot 5's reports.
+	restore := func() (*Controller, Config) {
+		dir := copyStateFixture(t, fixture)
+		cfg := Config{Online: online.CHC(4, 2), EstimatorFloor: -1, StateDir: dir, SnapKeep: 1}
+		gen, err := loadGeneration(dir, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFormat4Golden(t, fixture, gen)
+		seg := jsonWALFrame(t, walRecord{Seq: gen.WalSeq + 1, Kind: walKindReports, Slot: 5, Reqs: reqs[:half]})
+		if err := os.WriteFile(segPath(dir, 5), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		c, err := Open(ctx, base, cfg)
+		if err != nil {
+			t.Fatalf("open state written with compact flags: %v", err)
+		}
+		if got := c.Stats(); got.Slot != 5 || got.Ingested != gen.Ingested+int64(half) {
+			t.Fatalf("restored slot %d with %d reports, want 5 and %d", got.Slot, got.Ingested, gen.Ingested+int64(half))
+		}
+		if _, err := c.Ingest(reqs[half:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(segPath(dir, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, n := decodeWALBuffer(data)
+		if n != len(data) || len(recs) != 2 || data[walFrameHeader] != '{' || data[len(seg)+walFrameHeader] != walTagV3 {
+			t.Fatalf("wal.000005 holds %d records in %d of %d bytes; want a JSON frame, then a binary one", len(recs), n, len(data))
+		}
+
+		c, err = Open(ctx, base, cfg)
+		if err != nil {
+			t.Fatalf("open a segment of JSON and binary frames: %v", err)
+		}
+		if got := c.Stats(); got.Slot != 5 || got.Ingested != gen.Ingested+int64(len(reqs)) {
+			t.Fatalf("reopened at slot %d with %d reports, want 5 and %d", got.Slot, got.Ingested, gen.Ingested+int64(len(reqs)))
+		}
+		return c, cfg
 	}
 
-	c, err := Open(ctx, base, cfg)
-	if err != nil {
-		t.Fatalf("open state written with compact flags: %v", err)
-	}
-	if got := c.Stats(); got.Slot != 5 || got.Ingested != gen.Ingested+int64(half) {
-		t.Fatalf("restored slot %d with %d reports, want 5 and %d", got.Slot, got.Ingested, gen.Ingested+int64(half))
-	}
-	if _, err := c.Ingest(reqs[half:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(segPath(dir, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, n := decodeWALBuffer(data)
-	if n != len(data) || len(recs) != 2 || data[walFrameHeader] != '{' || data[len(seg)+walFrameHeader] != walTagV3 {
-		t.Fatalf("wal.000005 holds %d records in %d of %d bytes; want a JSON frame, then a binary one", len(recs), n, len(data))
-	}
-
-	c, err = Open(ctx, base, cfg)
-	if err != nil {
-		t.Fatalf("open a segment of JSON and binary frames: %v", err)
-	}
-	defer c.Close()
-	if got := c.Stats(); got.Slot != 5 || got.Ingested != gen.Ingested+int64(len(reqs)) {
-		t.Fatalf("reopened at slot %d with %d reports, want 5 and %d", got.Slot, got.Ingested, gen.Ingested+int64(len(reqs)))
-	}
-	if _, err := c.Tick(ctx); err != nil {
-		t.Fatal(err)
-	}
-	driveToCompletion(t, c, tr)
-	got, err := c.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("result after restoring a compact-flag generation diverges from the uninterrupted run")
+	c, cfg := restore()
+	want := finishFromFixture(t, c, cfg, tr, -1)
+	c, cfg = restore()
+	if got := finishFromFixture(t, c, cfg, tr, 8); !reflect.DeepEqual(want, got) {
+		t.Fatal("a run from the compact-flag fixture killed at slot 8 diverges from the uninterrupted continuation")
 	}
 }
 
@@ -626,63 +707,66 @@ func TestOpenReadsGenerationWithCompactFlags(t *testing.T) {
 // through slot 5), whose generation carries every version's cross-window
 // P2 iterate fields (both versions bound, with iterates) and whose
 // wal.000005 holds the first half of slot 5's reports. Open must read
-// the generation, dropping those fields, replay the WAL, and the
-// controller must finish identical to an uninterrupted run.
+// the generation, dropping those fields, into the envelope of the
+// fixture's format-4 golden, and replay the WAL; the controller must
+// finish with an audited trajectory, and a run from the same fixture
+// killed and reopened mid-run must finish identical to it.
 func TestOpenReadsFormat3Generation(t *testing.T) {
 	ctx := context.Background()
 	base := testInstance(t)
 	tr := trace.Generate(base.Demand, 19)
-	dir := copyStateFixture(t, "testdata/format3-state")
-	cfg := Config{Online: online.CHC(4, 2), EstimatorFloor: -1, StateDir: dir, SnapKeep: 1}
-	want := goldenResult(t, cfg, tr)
-
-	gen, err := loadGeneration(dir, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen.FormatVersion != iteratesFormatVersion {
-		t.Fatalf("fixture generation has format %d, want %d", gen.FormatVersion, iteratesFormatVersion)
-	}
-	wal, err := os.ReadFile(dir + "/wal.000005")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := decodeWALBuffer(wal)
-	var logged int
-	for _, rec := range recs {
-		if rec.Kind == walKindReports && rec.Slot == 5 {
-			logged += len(rec.Reqs)
-		}
-	}
-	if logged == 0 {
-		t.Fatal("fixture WAL holds no open-slot reports")
-	}
-
-	c, err := Open(ctx, base, cfg)
-	if err != nil {
-		t.Fatalf("open a format-3 state dir: %v", err)
-	}
-	defer c.Close()
-	if got := c.Stats(); got.Slot != 5 || got.Ingested != gen.Ingested+int64(logged) {
-		t.Fatalf("restored slot %d with %d reports, want 5 and %d", got.Slot, got.Ingested, gen.Ingested+int64(logged))
-	}
+	const fixture = "testdata/format3-state"
 	var reqs []Request
 	for _, batch := range traceBatches(tr, base.T)[5] {
 		reqs = append(reqs, batch...)
 	}
-	if _, err := c.Ingest(reqs[logged:]); err != nil {
-		t.Fatal(err)
+
+	// restore copies and opens the fixture and ingests the rest of slot
+	// 5's reports: the controller it returns holds all of them.
+	restore := func() (*Controller, Config) {
+		dir := copyStateFixture(t, fixture)
+		cfg := Config{Online: online.CHC(4, 2), EstimatorFloor: -1, StateDir: dir, SnapKeep: 1}
+		gen, err := loadGeneration(dir, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen.FormatVersion != iteratesFormatVersion {
+			t.Fatalf("fixture generation has format %d, want %d", gen.FormatVersion, iteratesFormatVersion)
+		}
+		checkFormat4Golden(t, fixture, gen)
+		wal, err := os.ReadFile(dir + "/wal.000005")
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := decodeWALBuffer(wal)
+		var logged int
+		for _, rec := range recs {
+			if rec.Kind == walKindReports && rec.Slot == 5 {
+				logged += len(rec.Reqs)
+			}
+		}
+		if logged == 0 {
+			t.Fatal("fixture WAL holds no open-slot reports")
+		}
+
+		c, err := Open(ctx, base, cfg)
+		if err != nil {
+			t.Fatalf("open a format-3 state dir: %v", err)
+		}
+		if got := c.Stats(); got.Slot != 5 || got.Ingested != gen.Ingested+int64(logged) {
+			t.Fatalf("restored slot %d with %d reports, want 5 and %d", got.Slot, got.Ingested, gen.Ingested+int64(logged))
+		}
+		if _, err := c.Ingest(reqs[logged:]); err != nil {
+			t.Fatal(err)
+		}
+		return c, cfg
 	}
-	if _, err := c.Tick(ctx); err != nil {
-		t.Fatal(err)
-	}
-	driveToCompletion(t, c, tr)
-	got, err := c.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("result after restoring a format-3 generation diverges from the uninterrupted run")
+
+	c, cfg := restore()
+	want := finishFromFixture(t, c, cfg, tr, -1)
+	c, cfg = restore()
+	if got := finishFromFixture(t, c, cfg, tr, 8); !reflect.DeepEqual(want, got) {
+		t.Fatal("a run from the format-3 fixture killed at slot 8 diverges from the uninterrupted continuation")
 	}
 }
 
