@@ -53,11 +53,15 @@ ci: build vet fmt-check test perfbench-check race audit chaos serve-smoke chaos-
 # Benchmark run recorded as JSON (see cmd/bench and DESIGN.md §8). CI uses
 # the short BENCHTIME as a smoke pass; for tracked numbers use the default
 # go benchtime:  make bench BENCHTIME=1s BENCH_LABEL=post-workspace
+# It runs at -cpu 1, the CPU count the tracked baseline suites were
+# recorded at: with a spare CPU, parallel.For starts helper goroutines
+# that allocate, so a zero-alloc row's verdict would depend on the
+# runner's core count.
 BENCHTIME ?= 100ms
 BENCH_LABEL ?= local
 BENCH_OUT ?= BENCH_$(shell date +%F).json
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) . \
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -cpu 1 . \
 		| $(GO) run ./cmd/bench -label "$(BENCH_LABEL)" -out "$(BENCH_OUT)" -merge
 
 # Perf gate: fail when any benchmark's ns/op regressed more than

@@ -73,8 +73,8 @@ func shiftWarmMu(dst, mu [][][]float64, in *model.Instance) [][][]float64 {
 }
 
 // benchWarmWindow solves the full sliding-window sequence once per
-// iteration with a single shared solver workspace, which every window
-// rebinds from scratch. The cold variant is the from-scratch controller
+// iteration; every window solve borrows core.Solve's pooled workspace and
+// rebinds it from scratch. The cold variant is the from-scratch controller
 // step: every window starts with zero multipliers (nil InitialMu). The
 // incremental variant times the μ shift, the only cross-window warm
 // start: the previous window's multipliers are shifted onto the overlap.
@@ -82,8 +82,7 @@ func shiftWarmMu(dst, mu [][][]float64, in *model.Instance) [][][]float64 {
 // start trades iterations, not correctness.
 func benchWarmWindow(b *testing.B, cold bool) {
 	wins := warmWindows(b)
-	ws := core.NewWorkspace()
-	opts := core.Options{MaxIter: 15, StallIter: 6, Workspace: ws}
+	opts := core.Options{MaxIter: 15, StallIter: 6}
 	var warm [][][]float64
 	run := func() {
 		for i, sub := range wins {
@@ -100,7 +99,7 @@ func benchWarmWindow(b *testing.B, cold bool) {
 			}
 		}
 	}
-	run() // populate the workspace so both variants measure the steady state
+	run() // populate the pool so both variants measure the steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -219,23 +219,6 @@ func BenchmarkBaseline_LRFUPlan(b *testing.B) {
 	}
 }
 
-// --- workspace (zero-reallocation) benches ----------------------------------
-
-// BenchmarkOffline_PrimalDualWorkspace is BenchmarkOffline_PrimalDual with
-// one solver workspace carried across solves — the steady state of a
-// receding-horizon controller, where the P1 flow networks, the P2
-// subproblem state and all solver scratch are recycled between windows.
-func BenchmarkOffline_PrimalDualWorkspace(b *testing.B) {
-	in, _ := benchInstance(b)
-	ws := core.NewWorkspace()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Solve(context.Background(), in, core.Options{MaxIter: 15, StallIter: 6, Workspace: ws}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- sparse / web-scale benches (DESIGN.md §11) ------------------------------
 
 // reportPeakRSS attaches the process peak RSS to a benchmark via

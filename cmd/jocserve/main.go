@@ -138,7 +138,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	// Topology faults (outages, bandwidth, capacity) reshape the instance;
-	// corruption and solver faults ride in the serve/online configs.
+	// corruption and solver faults ride in the online config.
 	eff, err := serve.MaterializeFaults(base, sched)
 	if err != nil {
 		return err
@@ -171,7 +171,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		WALFsync:       fsyncPol,
 		SnapKeep:       *snapKeep,
 		DiskFaults:     disks,
-		Faults:         sched,
 	}
 
 	if *smoke {
@@ -276,7 +275,7 @@ func goldenTrajectory(ctx context.Context, eff *model.Instance, scfg serve.Confi
 	if err != nil {
 		return nil, err
 	}
-	pred := workload.Corrupt(est, scfg.Faults.Corruptor(goldenIn.Demand))
+	pred := workload.Corrupt(est, scfg.Online.Faults.Corruptor(goldenIn.Demand))
 	golden, err := online.Run(ctx, &goldenIn, pred, scfg.Online)
 	if err != nil {
 		return nil, err

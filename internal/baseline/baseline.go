@@ -25,7 +25,6 @@ import (
 
 	"edgecache/internal/loadbalance"
 	"edgecache/internal/model"
-	"edgecache/internal/parallel"
 )
 
 // Policy plans a full caching/load-balancing trajectory for an instance
@@ -93,7 +92,7 @@ func (s *ScoreCaching) Plan(ctx context.Context, in *model.Instance) (model.Traj
 		}
 		placements[t] = x
 	}
-	return completeWithOptimalLoad(ctx, in, placements)
+	return loadbalance.OptimalTrajectory(ctx, in, placements)
 }
 
 // StaticTop caches the top-C_n contents by average demand over the whole
@@ -127,7 +126,7 @@ func (s *StaticTop) Plan(ctx context.Context, in *model.Instance) (model.Traject
 	for t := range placements {
 		placements[t] = x
 	}
-	return completeWithOptimalLoad(ctx, in, placements)
+	return loadbalance.OptimalTrajectory(ctx, in, placements)
 }
 
 // NoCaching serves everything from the BS: the x = y = 0 null policy whose
@@ -172,22 +171,4 @@ func topK(scores []float64, k int) []int {
 		idx[i], idx[best] = idx[best], idx[i]
 	}
 	return idx[:k]
-}
-
-// completeWithOptimalLoad fills each slot's load split with the optimum
-// for its placement.
-func completeWithOptimalLoad(ctx context.Context, in *model.Instance, placements []model.CachePlan) (model.Trajectory, error) {
-	traj := make(model.Trajectory, in.T)
-	err := parallel.For(ctx, in.T, 0, func(t int) error {
-		y, err := loadbalance.OptimalGivenPlacement(in, t, placements[t])
-		if err != nil {
-			return fmt.Errorf("baseline: slot %d: %w", t, err)
-		}
-		traj[t] = model.SlotDecision{X: placements[t].Clone(), Y: y}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return traj, nil
 }

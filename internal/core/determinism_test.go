@@ -35,9 +35,9 @@ func sameResult(a, b *Result) bool {
 }
 
 // TestSolveDeterministicAcrossWorkspaceReuse is the determinism guarantee
-// of the zero-reallocation refactor: Solve with a nil workspace, with a
-// fresh caller-supplied workspace, and with a workspace already dirtied by
-// other solves must all produce byte-identical results.
+// of the zero-reallocation refactor: Solve on its pooled workspace, solve
+// on a fresh workspace, and solve on a workspace already dirtied by other
+// solves must all produce byte-identical results.
 func TestSolveDeterministicAcrossWorkspaceReuse(t *testing.T) {
 	for _, ratio := range []float64{0, 0.25} {
 		cfg := mediumInstance(t, func(c *workload.InstanceConfig) { c.OmegaSBSRatio = ratio })
@@ -63,31 +63,28 @@ func TestSolveDeterministicAcrossWorkspaceReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		fresh := opts
-		fresh.Workspace = NewWorkspace()
-		got, err := Solve(context.Background(), in, fresh)
+		got, err := solve(context.Background(), in, opts, new(workspace))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameResult(base, got) {
-			t.Fatalf("ratio=%g: fresh-workspace solve diverges from nil-workspace solve", ratio)
+			t.Fatalf("ratio=%g: fresh-workspace solve diverges from pooled Solve", ratio)
 		}
 
-		reused := opts
-		reused.Workspace = NewWorkspace()
-		if _, err := Solve(context.Background(), other, reused); err != nil {
+		reused := new(workspace)
+		if _, err := solve(context.Background(), other, opts, reused); err != nil {
 			t.Fatal(err)
 		}
-		got, err = Solve(context.Background(), in, reused)
+		got, err = solve(context.Background(), in, opts, reused)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameResult(base, got) {
-			t.Fatalf("ratio=%g: dirty-workspace solve diverges from nil-workspace solve", ratio)
+			t.Fatalf("ratio=%g: dirty-workspace solve diverges from pooled Solve", ratio)
 		}
 
 		// Same workspace, same instance, back to back.
-		got, err = Solve(context.Background(), in, reused)
+		got, err = solve(context.Background(), in, opts, reused)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,15 +23,14 @@ func TestSolveIncrementalMatchesDisabled(t *testing.T) {
 		}
 
 		opts := Options{MaxIter: 25}
-		fresh, err := Solve(context.Background(), in, opts)
+		fresh, err := solve(context.Background(), in, opts, new(workspace))
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		reused := opts
-		reused.Workspace = NewWorkspace()
+		reused := new(workspace)
 		for round := 0; round < 3; round++ {
-			got, err := Solve(context.Background(), in, reused)
+			got, err := solve(context.Background(), in, opts, reused)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,13 +63,14 @@ func TestSolveAdvanceIncrementalMatchesDisabled(t *testing.T) {
 		return sub
 	}
 
-	opts := Options{MaxIter: 15, Workspace: NewWorkspace()}
+	opts := Options{MaxIter: 15}
+	reused := new(workspace)
 	for from := 0; from+w <= full.T; from++ {
-		res, err := Solve(context.Background(), win(from), opts)
+		res, err := solve(context.Background(), win(from), opts, reused)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Solve(context.Background(), win(from), Options{MaxIter: 15})
+		want, err := solve(context.Background(), win(from), opts, new(workspace))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,13 +91,6 @@ type Options struct {
 	// only — it never alters the iterates — and the nil default costs
 	// nothing on the hot path.
 	Telemetry *obs.Telemetry
-	// Workspace supplies reusable solver state (see NewWorkspace). Nil
-	// allocates a fresh workspace inside Solve. Receding-horizon
-	// controllers pass one workspace across their overlapping window
-	// solves to reuse its buffers; every Solve rebinds it, so results are
-	// bit-identical either way. A workspace must not be shared by
-	// concurrent Solves (SolveSharded therefore ignores this field).
-	Workspace *Workspace
 }
 
 func (o Options) withDefaults() Options {
@@ -160,7 +153,21 @@ type Result struct {
 // bounds achieved up to the interruption. Callers implementing graceful
 // degradation (the per-slot budget of package online) commit that iterate
 // when its duality gap is finite. A nil ctx means context.Background().
+//
+// Solve is safe for concurrent use: each call borrows its own solver
+// workspace from a package-level pool.
 func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, error) {
+	ws := workspaces.Get().(*workspace)
+	res, err := solve(ctx, in, opts, ws)
+	// Put back on every return, errors and cancellation included: any
+	// parallel.For inside has joined its helpers by then. Not deferred,
+	// so a panicking solve drops the workspace it may have left half bound.
+	workspaces.Put(ws)
+	return res, err
+}
+
+// solve is Solve on the caller's workspace ws, which it rebinds to in.
+func solve(ctx context.Context, in *model.Instance, opts Options, ws *workspace) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -181,10 +188,6 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 	var batch *obs.Span
 	defer func() { batch.End(); solveSpan.End() }()
 
-	ws := opts.Workspace
-	if ws == nil {
-		ws = NewWorkspace()
-	}
 	ws.bind(in)
 
 	// μ[t][n] is a flat (class, content) row like the demand layout.
@@ -493,7 +496,7 @@ func samePlans(a, b []model.CachePlan) bool {
 // subgradNorm is the L2 norm of the dual subgradient g = y − x — the
 // convergence diagnostic reported per iteration. It is computed only
 // when telemetry is enabled, so the disabled path never pays the pass.
-func subgradNorm(in *model.Instance, xPlans []model.CachePlan, ws *Workspace) float64 {
+func subgradNorm(in *model.Instance, xPlans []model.CachePlan, ws *workspace) float64 {
 	var sum float64
 	for t := 0; t < in.T; t++ {
 		for n := 0; n < in.N; n++ {

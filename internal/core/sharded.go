@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"edgecache/internal/model"
 	"edgecache/internal/parallel"
@@ -82,14 +81,13 @@ func (sr *ShardedResult) Densify(in *model.Instance) model.Trajectory {
 // constraint separate across SBSs, so the concatenation of shard optima is
 // the joint optimum — the distributed deployment the paper names as
 // future work (§VII) — while the compact catalogue keeps per-shard memory
-// proportional to demand, not to K. Solver workspaces are pooled and
-// rebound across shards, so steady-state allocation is bounded by the
-// worker count, not the SBS count.
+// proportional to demand, not to K. Each shard is a plain Solve, which
+// borrows its workspace from Solve's pool, so steady-state solver scratch
+// is bounded by the worker count, not the SBS count.
 //
-// Options.Workspace is ignored (shards run concurrently and each needs
-// its own), and Options.InitialMu must be nil: global multiplier planes
-// are shaped [T][N][M·K] and do not map onto compact shards. Every shard
-// starts its duals from zero, exactly like a fresh Solve.
+// Options.InitialMu must be nil: global multiplier planes are shaped
+// [T][N][M·K] and do not map onto compact shards. Every shard starts its
+// duals from zero, exactly like a fresh Solve.
 func SolveSharded(ctx context.Context, in *model.Instance, opts Options) (*ShardedResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -100,26 +98,14 @@ func SolveSharded(ctx context.Context, in *model.Instance, opts Options) (*Shard
 	if opts.InitialMu != nil {
 		return nil, fmt.Errorf("core: sharded solve cannot warm-start from global multipliers (InitialMu must be nil)")
 	}
-	opts.Workspace = nil
 
-	// Worker-bound pool of solver workspaces: at most one live workspace
-	// per concurrently running shard, each sized to the largest shard it
-	// has served, all released to the GC when the solve returns.
-	var pool sync.Pool
 	shards := make([]ShardSolution, in.N)
 	err := parallel.For(ctx, in.N, 0, func(n int) error {
 		sub, items, err := in.CompactSBS(n)
 		if err != nil {
 			return err
 		}
-		shardOpts := opts
-		if ws, ok := pool.Get().(*Workspace); ok {
-			shardOpts.Workspace = ws
-		} else {
-			shardOpts.Workspace = NewWorkspace()
-		}
-		res, err := Solve(ctx, sub, shardOpts)
-		pool.Put(shardOpts.Workspace)
+		res, err := Solve(ctx, sub, opts)
 		if err != nil {
 			return fmt.Errorf("distributed SBS %d: %w", n, err)
 		}

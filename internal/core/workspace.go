@@ -2,38 +2,42 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"edgecache/internal/caching"
 	"edgecache/internal/loadbalance"
 	"edgecache/internal/model"
 )
 
-// Workspace bundles the reusable solver state of one primal-dual run: the
+// workspace bundles the reusable solver state of one primal-dual run: the
 // P1 flow networks, the P2 per-(t, n) subproblem state with its FISTA and
-// projection scratch, and the dual-reward buffer. Solve binds it to the
+// projection scratch, and the dual-reward buffer. solve binds it to the
 // instance on entry, so one workspace amortises all per-instance
 // precomputation and steady-state allocation across the ~MaxIter dual
-// iterations — and, when carried across calls (Options.Workspace), the
-// buffers across the overlapping window solves of a receding-horizon
-// controller. Every Solve rebinds it from scratch, so a reused workspace
-// carries no solver state into the next Solve: results are bit-identical
-// to a fresh workspace's.
+// iterations, and, pooled across Solves (workspaces), the buffers across
+// the overlapping window solves of a receding-horizon controller. Every
+// solve rebinds it from scratch, so a reused workspace carries no solver
+// state into the next solve: results are bit-identical to a fresh
+// workspace's.
 //
-// A workspace serves one Solve at a time; concurrent Solves need separate
-// workspaces.
-type Workspace struct {
+// A workspace serves one solve at a time.
+type workspace struct {
 	p1      caching.Workspace
 	p2      loadbalance.Workspace
 	rewards [][][]float64 // ρ^t_{n,k} buffer, [t][n][k]
 }
 
-// NewWorkspace returns an empty workspace, ready to be passed via
-// Options.Workspace.
-func NewWorkspace() *Workspace { return &Workspace{} }
+// workspaces holds the idle workspaces of this process. Solve borrows one
+// for its run and puts it back on every normal return, so solver scratch
+// scales with the number of concurrently running Solves, not with the
+// number of callers or controller versions. A Result shares no memory
+// with the workspace that produced it, so a returned workspace may go
+// straight to the next Solve.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
 // bind sizes the workspace for an instance, reusing buffers whose capacity
 // suffices. Nothing of the previous bind's solver state carries over.
-func (ws *Workspace) bind(in *model.Instance) {
+func (ws *workspace) bind(in *model.Instance) {
 	// The P1 networks prune to each SBS's candidate set — items with
 	// demand somewhere in the window or initially cached. Dual rewards
 	// vanish outside that set (the multiplier of a never-requested,
@@ -84,7 +88,7 @@ func (ws *Workspace) bind(in *model.Instance) {
 // seed of Solve. The rewards are written into the reused buffer and
 // solved on the reused P1 networks; the returned plans alias the
 // workspace.
-func (ws *Workspace) linearizedPlacements(ctx context.Context, in *model.Instance) ([]model.CachePlan, error) {
+func (ws *workspace) linearizedPlacements(ctx context.Context, in *model.Instance) ([]model.CachePlan, error) {
 	for t := 0; t < in.T; t++ {
 		for n := 0; n < in.N; n++ {
 			omega := in.OmegaBS[n]

@@ -22,6 +22,7 @@
 package loadbalance
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -31,6 +32,7 @@ import (
 	"edgecache/internal/mat"
 	"edgecache/internal/model"
 	"edgecache/internal/obs"
+	"edgecache/internal/parallel"
 	"edgecache/internal/projection"
 )
 
@@ -278,6 +280,27 @@ func OptimalGivenPlacement(in *model.Instance, t int, x model.CachePlan) (model.
 		}
 	}
 	return y, nil
+}
+
+// OptimalTrajectory completes a placement sequence (one plan per slot of
+// in) into a trajectory: each slot's decision pairs a copy of its
+// placement with OptimalGivenPlacement's load split for it. Slots are
+// solved in parallel. The baselines and the classic-cache trace adapter
+// plan this way.
+func OptimalTrajectory(ctx context.Context, in *model.Instance, placements []model.CachePlan) (model.Trajectory, error) {
+	traj := make(model.Trajectory, in.T)
+	err := parallel.For(ctx, in.T, 0, func(t int) error {
+		y, err := OptimalGivenPlacement(in, t, placements[t])
+		if err != nil {
+			return err
+		}
+		traj[t] = model.SlotDecision{X: placements[t].Clone(), Y: y}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return traj, nil
 }
 
 func allZero(v []float64) bool {

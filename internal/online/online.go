@@ -363,8 +363,8 @@ func solveOnce(ctx context.Context, win *model.Instance, opts core.Options, arme
 
 // guardedSolve converts a panic anywhere inside the window solve into an
 // error, so one crashing solve degrades its window instead of killing
-// the run. A panic may leave the workspace half bound; the next solve
-// rebinds it from scratch, so nothing of it is read again.
+// the run. core.Solve drops the workspace of a panicking solve, so
+// nothing it left half bound is read again.
 func guardedSolve(ctx context.Context, win *model.Instance, opts core.Options) (sol *core.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -374,37 +374,39 @@ func guardedSolve(ctx context.Context, win *model.Instance, opts core.Options) (
 	return core.Solve(ctx, win, opts)
 }
 
-// degradeWindow walks the degradation ladder for a window solve that
-// exceeded its budget:
+// Degrade walks the degradation ladder for a solve that exceeded its
+// budget. It is the one ladder of the repository: the online controllers
+// walk it per window and package sim's offline policy per horizon.
 //
 //  1. best-so-far iterate — when the interrupted solve recovered a
 //     feasible trajectory with a finite duality gap, commit it; it is
 //     feasible by construction and carries a quality certificate.
-//  2. fallback — otherwise plan the window with cfg.Fallback (default:
-//     LRFU placement + reactive load split), verifying feasibility so a
-//     misbehaving custom fallback fails loudly rather than corrupting
-//     the committed trajectory.
+//  2. fallback — otherwise plan in with fb (nil selects
+//     DefaultFallback: LRFU placement + reactive load split), verifying
+//     feasibility so a misbehaving custom fallback fails loudly rather
+//     than corrupting the committed trajectory.
 //
-// The fallback runs under the parent ctx (the budget is already spent;
-// only full cancellation may stop it).
-func degradeWindow(ctx context.Context, cfg Config, win *model.Instance, interrupted *core.Result) (*core.Result, string, error) {
+// It returns the committed result and the rung taken ("best_iterate"
+// or "fallback"). The fallback runs under ctx: callers pass the parent
+// context, since the budget is already spent and only full cancellation
+// may stop it.
+func Degrade(ctx context.Context, in *model.Instance, interrupted *core.Result, fb FallbackPlanner) (*core.Result, string, error) {
 	if interrupted != nil && interrupted.Trajectory != nil && !math.IsInf(interrupted.Gap, 1) {
 		return interrupted, "best_iterate", nil
 	}
-	fb := cfg.Fallback
 	if fb == nil {
 		fb = DefaultFallback
 	}
-	traj, err := fb(ctx, win)
+	traj, err := fb(ctx, in)
 	if err != nil {
 		return nil, "", fmt.Errorf("online: fallback: %w", err)
 	}
-	if err := win.CheckTrajectory(traj, 1e-6); err != nil {
+	if err := in.CheckTrajectory(traj, 1e-6); err != nil {
 		return nil, "", fmt.Errorf("online: fallback produced infeasible trajectory: %w", err)
 	}
 	return &core.Result{
 		Trajectory: traj,
-		Cost:       win.TotalCost(traj),
+		Cost:       in.TotalCost(traj),
 		LowerBound: math.Inf(-1),
 		Gap:        math.Inf(1),
 	}, "fallback", nil

@@ -26,10 +26,11 @@ import (
 //     budgets ride along so a restored run does not re-inject
 //     already-fired solver faults.
 //
-//   - The solver workspace is not carried: every window solve rebinds it
-//     from scratch, so it holds nothing a later solve reads. The
-//     forecaster needs no state of its own because every shipped
-//     Forecaster is a pure function of the (snapshotted) demand tensor.
+//   - No solver workspace is carried: every window solve borrows one
+//     from core.Solve's pool and rebinds it from scratch, so none holds
+//     anything a later solve reads. The forecaster needs no state of its
+//     own because every shipped Forecaster is a pure function of the
+//     (snapshotted) demand tensor.
 //
 // The snapshot is plain data: any encoding that keeps float64 values
 // exactly restores it (package serve's durable store writes a binary

@@ -44,8 +44,8 @@ type VersionStats struct {
 // The one cross-window warm start is the μ block: the multipliers of
 // the last window solve that produced any, shifted onto the next window
 // (shiftMu). A window that produced none (fallback) drops the carry, and
-// the next solved window re-anchors it. The solver workspace is reused
-// for its buffers only; every window solve rebinds it from scratch.
+// the next solved window re-anchors it. The solver workspace is not the
+// version's: every window solve borrows one from core.Solve's pool.
 type versionState struct {
 	in     *model.Instance
 	pred   workload.Forecaster
@@ -69,9 +69,6 @@ type versionState struct {
 	// last window fell back without multipliers.
 	warmMu       [][][]float64
 	muFrom, muTo int
-
-	// Solver workspace, reused across the version's window solves.
-	ws *core.Workspace
 }
 
 // newVersionState prepares version v of the controller over in. cfg must
@@ -96,7 +93,6 @@ func newVersionState(in *model.Instance, pred workload.Forecaster, cfg Config, v
 		ya:          ya,
 		tau:         first,
 		virtualPrev: in.InitialPlan(),
-		ws:          core.NewWorkspace(),
 	}
 }
 
@@ -117,7 +113,7 @@ func (vs *versionState) runTo(ctx context.Context, end int) error {
 //
 // With a SlotBudget, the window solve runs under a deadline-carrying
 // child context spanning every retry attempt; an overrun degrades the
-// window (degradeWindow) rather than failing the version. Cancellation
+// window (Degrade) rather than failing the version. Cancellation
 // of ctx always fails the version with a wrapped ctx.Err(). Solve
 // failures walk retry-with-backoff first (RetryPolicy), then the
 // degradation ladder.
@@ -154,7 +150,6 @@ func (vs *versionState) step(ctx context.Context) error {
 
 	opts := cfg.Core
 	opts.Telemetry = cfg.Telemetry
-	opts.Workspace = vs.ws
 	if vs.warmMu != nil {
 		opts.InitialMu = shiftMu(vs.warmMu, vs.muFrom, vs.muTo, from, to, in)
 	}
@@ -188,7 +183,7 @@ func (vs *versionState) step(ctx context.Context) error {
 			return fmt.Errorf("online: version %d window [%d, %d): %w", v, from, to, err)
 		}
 		var mode string
-		sol, mode, err = degradeWindow(ctx, cfg, win, sol)
+		sol, mode, err = Degrade(ctx, win, sol, cfg.Fallback)
 		if err != nil {
 			wSpan.End()
 			return fmt.Errorf("online: version %d window [%d, %d): degraded solve: %w", v, from, to, err)

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"sync"
-	"time"
 
 	"edgecache/internal/fault"
 	"edgecache/internal/model"
@@ -48,9 +47,13 @@ func (e *RequestError) Error() string {
 // Config tunes a Controller beyond the topology instance.
 type Config struct {
 	// Online is the controller configuration (algorithm, window,
-	// commitment, retry policy, …). Its Faults field arms solver faults;
-	// topology faults must be materialised into the instance by the
-	// caller (cmd/jocserve does both from one schedule).
+	// commitment, retry policy, …). Its Faults field is the full fault
+	// schedule: it arms the stream's solver faults, and its
+	// prediction-corruption arm is hooked into the forecast feed here
+	// (reading the live tensor; the realised rates are never touched).
+	// Topology injectors must be materialised into the instance by the
+	// caller (MaterializeFaults; cmd/jocserve does both from one
+	// schedule).
 	Online online.Config
 	// EstimatorAlpha is the EWMA weight of the newest slot (0 selects
 	// workload.DefaultEstimatorAlpha).
@@ -68,8 +71,6 @@ type Config struct {
 	StateDir string
 	// WALFsync is the WAL flush policy ("" selects FsyncAlways).
 	WALFsync FsyncPolicy
-	// FsyncEvery is the FsyncInterval period (0 selects 100ms).
-	FsyncEvery time.Duration
 	// SnapKeep is how many snapshot generations to retain (0 selects 3;
 	// minimum 2 — corruption fallback needs a predecessor).
 	SnapKeep int
@@ -79,12 +80,6 @@ type Config struct {
 	// DiskFaults arms torn-write/bit-flip injection on the durability
 	// files (chaos harnesses only).
 	DiskFaults *fault.DiskFaults
-	// Faults is the full fault schedule. Its prediction-corruption arm is
-	// hooked into the forecast feed here (reading the live tensor; the
-	// realised rates are never touched) and its solver faults should also
-	// ride in Online.Faults; topology injectors must be materialised into
-	// the instance by the caller (MaterializeFaults).
-	Faults *fault.Schedule
 }
 
 func (cfg *Config) snapKeep() int {
@@ -213,7 +208,7 @@ func openDurable(ctx context.Context, base *model.Instance, cfg Config) (*Contro
 	if rs.genesis {
 		seg, segLen = 0, 0
 	}
-	w, err := openWALSegment(segPath(cfg.StateDir, seg), segLen, cfg.WALFsync, cfg.FsyncEvery, cfg.DiskFaults)
+	w, err := openWALSegment(segPath(cfg.StateDir, seg), segLen, cfg.WALFsync, cfg.DiskFaults)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +294,7 @@ func prepare(base *model.Instance, cfg Config) (*Controller, workload.Forecaster
 	for n := range c.pending {
 		c.pending[n] = make([]float64, base.Classes[n]*base.K)
 	}
-	return c, workload.Corrupt(est, cfg.Faults.Corruptor(live)), nil
+	return c, workload.Corrupt(est, cfg.Online.Faults.Corruptor(live)), nil
 }
 
 // validateLocked checks a batch without applying anything: index ranges
@@ -479,7 +474,7 @@ func (c *Controller) saveAndRotateLocked() error {
 	if err := c.wal.close(); err != nil {
 		return err
 	}
-	w, err := openWALSegment(segPath(c.cfg.StateDir, env.Slot), 0, c.cfg.WALFsync, c.cfg.FsyncEvery, c.cfg.DiskFaults)
+	w, err := openWALSegment(segPath(c.cfg.StateDir, env.Slot), 0, c.cfg.WALFsync, c.cfg.DiskFaults)
 	if err != nil {
 		return err
 	}
@@ -621,8 +616,7 @@ func (c *Controller) Result() (*online.Result, error) {
 // MaterializeFaults applies a schedule's topology injectors to base —
 // the serving twin of sim.RunWith's materialisation — returning the
 // effective instance to hand to New/Open. The corruption and solver
-// arms of the same schedule ride in Config.Faults and
-// Config.Online.Faults respectively.
+// arms of the same schedule ride in Config.Online.Faults.
 func MaterializeFaults(base *model.Instance, sched *fault.Schedule) (*model.Instance, error) {
 	if sched.Empty() {
 		return base, nil

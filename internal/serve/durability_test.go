@@ -456,7 +456,7 @@ func TestFaultedScheduleDurableRestart(t *testing.T) {
 	ocfg := online.CHC(4, 2)
 	ocfg.Faults = sched
 
-	golden, err := New(ctx, base, Config{Online: ocfg, EstimatorFloor: -1, Faults: sched})
+	golden, err := New(ctx, base, Config{Online: ocfg, EstimatorFloor: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestFaultedScheduleDurableRestart(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := Config{
-		Online: ocfg, EstimatorFloor: -1, Faults: sched,
+		Online: ocfg, EstimatorFloor: -1,
 		StateDir: dir, SnapKeep: 2,
 		DiskFaults: &fault.DiskFaults{Seed: 99, TearWALAppend: 13},
 	}

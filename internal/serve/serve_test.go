@@ -152,7 +152,7 @@ func TestControllerRestartEquivalence(t *testing.T) {
 			ocfg := tc.cfg
 			ocfg.Faults = tc.sched
 
-			uninterrupted, err := New(ctx, base, Config{Online: ocfg, EstimatorFloor: -1, Faults: tc.sched})
+			uninterrupted, err := New(ctx, base, Config{Online: ocfg, EstimatorFloor: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,6 @@ func TestControllerRestartEquivalence(t *testing.T) {
 				Online:         ocfg,
 				EstimatorFloor: -1,
 				StateDir:       t.TempDir(),
-				Faults:         tc.sched,
 			}
 			killed, err := Open(ctx, base, cfg)
 			if err != nil {

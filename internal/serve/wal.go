@@ -32,13 +32,16 @@ const (
 	// FsyncAlways syncs after every append: an acknowledged report is
 	// durable before the acknowledgement leaves the process. The default.
 	FsyncAlways FsyncPolicy = "always"
-	// FsyncInterval syncs at most once per Config.FsyncEvery: a crash can
-	// lose up to one interval of acknowledged open-slot reports.
+	// FsyncInterval syncs at most once per fsyncPeriod: a crash can lose
+	// up to one period of acknowledged open-slot reports.
 	FsyncInterval FsyncPolicy = "interval"
 	// FsyncOff never syncs report appends (the OS flushes eventually): a
 	// crash can lose any acknowledged reports of the open slot.
 	FsyncOff FsyncPolicy = "off"
 )
+
+// fsyncPeriod is the FsyncInterval period.
+const fsyncPeriod = 100 * time.Millisecond
 
 // ParseFsyncPolicy maps the -wal-fsync flag values; "" selects
 // FsyncAlways.
@@ -88,7 +91,6 @@ type wal struct {
 	f        *os.File
 	path     string
 	policy   FsyncPolicy
-	interval time.Duration
 	lastSync time.Time
 	faults   *fault.DiskFaults
 	frame    []byte // reused encode buffer
@@ -99,7 +101,7 @@ type wal struct {
 // recovery passes the decoded good-prefix length so a torn tail is cut
 // off before new frames land after it (frames appended beyond garbage
 // would be unreachable forever).
-func openWALSegment(path string, goodLen int64, policy FsyncPolicy, interval time.Duration, faults *fault.DiskFaults) (*wal, error) {
+func openWALSegment(path string, goodLen int64, policy FsyncPolicy, faults *fault.DiskFaults) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("serve: open wal segment: %w", err)
@@ -123,10 +125,7 @@ func openWALSegment(path string, goodLen int64, policy FsyncPolicy, interval tim
 		f.Close()
 		return nil, fmt.Errorf("serve: seek wal segment: %w", err)
 	}
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	return &wal{f: f, path: path, policy: policy, interval: interval, faults: faults}, nil
+	return &wal{f: f, path: path, policy: policy, faults: faults}, nil
 }
 
 // append frames and writes one record. force overrides the fsync policy
@@ -158,7 +157,7 @@ func (w *wal) append(rec walRecord, force bool) error {
 		}
 		w.lastSync = time.Now()
 	case w.policy == FsyncInterval:
-		if now := time.Now(); now.Sub(w.lastSync) >= w.interval {
+		if now := time.Now(); now.Sub(w.lastSync) >= fsyncPeriod {
 			if err := w.f.Sync(); err != nil {
 				return fmt.Errorf("serve: sync wal: %w", err)
 			}

@@ -103,7 +103,7 @@ func TestWALDecodeTornTail(t *testing.T) {
 // truncates the tail before appending, so later records stay reachable.
 func TestWALSegmentAppendTruncation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.000000")
-	w, err := openWALSegment(path, 0, FsyncAlways, 0, nil)
+	w, err := openWALSegment(path, 0, FsyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWALSegmentAppendTruncation(t *testing.T) {
 		t.Fatalf("torn read: %d records, torn=%v, err=%v", len(recs), torn, err)
 	}
 	// Reopen at the good prefix and append seq 2 for real.
-	w, err = openWALSegment(path, goodLen, FsyncAlways, 0, nil)
+	w, err = openWALSegment(path, goodLen, FsyncAlways, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"edgecache/internal/audit"
@@ -123,44 +122,27 @@ func (p offlinePolicy) Plan(ctx context.Context, in *model.Instance, _ workload.
 	return res.Trajectory, nil
 }
 
-// degrade commits the best-so-far iterate when it exists with a finite
-// duality gap, else plans the whole horizon with the fallback — the same
-// ladder the online controllers walk per window.
+// degrade walks online.Degrade over the whole horizon — the same ladder
+// the online controllers walk per window — and reports the rung taken.
 func (p offlinePolicy) degrade(ctx context.Context, in *model.Instance, partial *core.Result) (model.Trajectory, error) {
-	tel := p.opts.Telemetry
-	if partial != nil && partial.Trajectory != nil && !math.IsInf(partial.Gap, 1) {
-		mDegraded.Inc()
-		if tel.Enabled() {
-			tel.Emit("solve_degraded", obs.Fields{
-				"controller": p.Name(),
-				"budget_ms":  float64(p.budget) / float64(time.Millisecond),
-				"mode":       "best_iterate",
-				"iterations": partial.Iterations,
-				"gap":        partial.Gap,
-			})
-		}
-		return partial.Trajectory, nil
-	}
-	fb := p.fallback
-	if fb == nil {
-		fb = online.DefaultFallback
-	}
-	traj, err := fb(ctx, in)
+	res, mode, err := online.Degrade(ctx, in, partial, p.fallback)
 	if err != nil {
-		return nil, fmt.Errorf("fallback: %w", err)
-	}
-	if err := in.CheckTrajectory(traj, 1e-6); err != nil {
-		return nil, fmt.Errorf("fallback produced infeasible trajectory: %w", err)
+		return nil, err
 	}
 	mDegraded.Inc()
-	if tel.Enabled() {
-		tel.Emit("solve_degraded", obs.Fields{
+	if tel := p.opts.Telemetry; tel.Enabled() {
+		fields := obs.Fields{
 			"controller": p.Name(),
 			"budget_ms":  float64(p.budget) / float64(time.Millisecond),
-			"mode":       "fallback",
-		})
+			"mode":       mode,
+		}
+		if mode == "best_iterate" {
+			fields["iterations"] = res.Iterations
+			fields["gap"] = res.Gap
+		}
+		tel.Emit("solve_degraded", fields)
 	}
-	return traj, nil
+	return res.Trajectory, nil
 }
 
 // Online adapts an online controller configuration into a Policy.

@@ -6,7 +6,6 @@ import (
 
 	"edgecache/internal/loadbalance"
 	"edgecache/internal/model"
-	"edgecache/internal/parallel"
 )
 
 // PolicyAdapter evaluates a request-driven cache under the paper's cost
@@ -66,17 +65,5 @@ func (p *PolicyAdapter) Plan(ctx context.Context, in *model.Instance) (model.Tra
 		}
 	}
 
-	traj := make(model.Trajectory, in.T)
-	err := parallel.For(ctx, in.T, 0, func(t int) error {
-		y, err := loadbalance.OptimalGivenPlacement(in, t, placements[t])
-		if err != nil {
-			return fmt.Errorf("trace: slot %d: %w", t, err)
-		}
-		traj[t] = model.SlotDecision{X: placements[t], Y: y}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return traj, nil
+	return loadbalance.OptimalTrajectory(ctx, in, placements)
 }
