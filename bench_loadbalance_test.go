@@ -58,10 +58,13 @@ func BenchmarkLoadBalance_GreedyRecovery(b *testing.B) {
 
 // BenchmarkP2_DualSweep compares one full dual iteration of P2 (all T×N
 // slot solves) on a pre-bound workspace ("reused": the same μ every op,
-// so most slots restart at their own fixed point; zero allocations), with
-// μ alternating between two tensors every op ("moving": every slot runs a
-// full FISTA solve from the other tensor's optimum, as in the streaming
-// service's dual loop; zero allocations).
+// on a bandwidth that binds, so most slots fall back to the kernel and
+// restart at their own fixed point; zero allocations), with μ alternating
+// between two tensors every op ("moving": the streaming service's dual
+// loop at ŵ ≡ 0, where most slots take the closed form; zero
+// allocations), and the same with an SBS cost ("kernel": ŵ > 0, so every
+// slot runs a full FISTA solve from the other tensor's optimum; zero
+// allocations).
 func BenchmarkP2_DualSweep(b *testing.B) {
 	cfg := workload.PaperDefault()
 	cfg.T = 10
@@ -103,33 +106,37 @@ func BenchmarkP2_DualSweep(b *testing.B) {
 			}
 		}
 	})
-	b.Run("moving", func(b *testing.B) {
-		// The streaming service's window shape (serve-chc: 2 SBSs × 8
-		// classes × 30 contents, B = 20, a CHC window of 6 slots), where
-		// the bandwidth rarely binds and the step kernel, not the knapsack
-		// bisection, is the cost.
-		in, _, err := edgecache.NewScenario(2, 30, 8, 6).WithCache(4).WithBandwidth(20).
-			WithBeta(50).WithJitter(0.4).WithSeed(1).Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		mus := [2][][][]float64{}
-		for j := range mus {
-			mus[j] = randomMu(in, rand.New(rand.NewPCG(53, uint64(j))))
-		}
-		ws := loadbalance.NewWorkspace()
-		ws.Bind(in)
-		for _, m := range mus {
-			if _, err := ws.SolveDual(context.Background(), m, opts); err != nil {
+	// The streaming service's window shape (serve-chc: 2 SBSs × 8 classes
+	// × 30 contents, B = 20, a CHC window of 6 slots), where the bandwidth
+	// rarely binds: at ŵ ≡ 0 the closed form is the cost, at ŵ > 0 the
+	// step kernel, not the knapsack bisection.
+	moving := func(sbsRatio float64) func(b *testing.B) {
+		return func(b *testing.B) {
+			in, _, err := edgecache.NewScenario(2, 30, 8, 6).WithCache(4).WithBandwidth(20).
+				WithBeta(50).WithJitter(0.4).WithSBSWeightRatio(sbsRatio).WithSeed(1).Build()
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ws.SolveDual(context.Background(), mus[i%2], opts); err != nil {
-				b.Fatal(err)
+			mus := [2][][][]float64{}
+			for j := range mus {
+				mus[j] = randomMu(in, rand.New(rand.NewPCG(53, uint64(j))))
+			}
+			ws := loadbalance.NewWorkspace()
+			ws.Bind(in)
+			for _, m := range mus {
+				if _, err := ws.SolveDual(context.Background(), m, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ws.SolveDual(context.Background(), mus[i%2], opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("moving", moving(0))
+	b.Run("kernel", moving(0.3))
 }

@@ -199,6 +199,14 @@ func sameItems(a, b []int) bool {
 	return true
 }
 
+// Release drops the workspace's references to the bound instance (and to
+// the initial plan captured from it) and keeps every buffer, so an idle
+// workspace does not keep its last instance reachable. Bind must run
+// again before the next SolveAll.
+func (ws *Workspace) Release() {
+	ws.in, ws.initial = nil, nil
+}
+
 // SolveAll is the workspace counterpart of the package-level SolveAll: it
 // solves P1 for every SBS under the given rewards and returns the per-slot
 // placements (aliasing workspace memory, overwritten by the next call) and

@@ -8,6 +8,10 @@ import (
 	"edgecache/internal/workload"
 )
 
+// mediumInstance is a two-SBS, five-slot paper instance at a replacement
+// cost and bandwidth (β = 3, B = 6) low enough that its solved
+// trajectories cache items, so a comparison of two of them also compares
+// non-zero placements.
 func mediumInstance(t *testing.T, mutate func(*workload.InstanceConfig)) *workload.InstanceConfig {
 	t.Helper()
 	cfg := workload.PaperDefault()
@@ -16,6 +20,7 @@ func mediumInstance(t *testing.T, mutate func(*workload.InstanceConfig)) *worklo
 	cfg.K = 8
 	cfg.ClassesPerSBS = 3
 	cfg.CacheCap = 2
+	cfg.Beta, cfg.Bandwidth = 3, 6
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -61,6 +66,9 @@ func TestSolveDeterministicAcrossWorkspaceReuse(t *testing.T) {
 		base, err := Solve(context.Background(), in, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !caches(base.Trajectory) {
+			t.Fatalf("ratio=%g: the solve caches nothing, so the comparisons below compare all-zero placements", ratio)
 		}
 
 		got, err := solve(context.Background(), in, opts, new(workspace))

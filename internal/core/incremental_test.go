@@ -27,6 +27,9 @@ func TestSolveIncrementalMatchesDisabled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !caches(fresh.Trajectory) {
+			t.Fatalf("ratio=%g: the solve caches nothing, so the comparisons below compare all-zero placements", ratio)
+		}
 
 		reused := new(workspace)
 		for round := 0; round < 3; round++ {
@@ -65,6 +68,7 @@ func TestSolveAdvanceIncrementalMatchesDisabled(t *testing.T) {
 
 	opts := Options{MaxIter: 15}
 	reused := new(workspace)
+	cached := false
 	for from := 0; from+w <= full.T; from++ {
 		res, err := solve(context.Background(), win(from), opts, reused)
 		if err != nil {
@@ -77,5 +81,9 @@ func TestSolveAdvanceIncrementalMatchesDisabled(t *testing.T) {
 		if !sameResult(res, want) {
 			t.Fatalf("window %d: reused-workspace solve diverges from a fresh-workspace solve", from)
 		}
+		cached = cached || caches(res.Trajectory)
+	}
+	if !cached {
+		t.Fatal("no window caches anything, so the comparisons compared all-zero placements")
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -9,17 +11,11 @@ import (
 	"edgecache/internal/workload"
 )
 
-// poolInstance is mediumInstance at a replacement cost low enough that
-// the solved trajectories cache items, so an overwritten trajectory
-// shows.
+// poolInstance builds mediumInstance, whose solved trajectories cache
+// items, so an overwritten trajectory shows.
 func poolInstance(t *testing.T, mutate func(*workload.InstanceConfig)) *model.Instance {
 	t.Helper()
-	in, err := workload.BuildInstance(*mediumInstance(t, func(c *workload.InstanceConfig) {
-		c.Beta, c.Bandwidth = 3, 6
-		if mutate != nil {
-			mutate(c)
-		}
-	}))
+	in, err := workload.BuildInstance(*mediumInstance(t, mutate))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,4 +141,88 @@ func TestSolveResultOutlivesWorkspaceReuse(t *testing.T) {
 	if !sameResult(kept, want) {
 		t.Fatal("a kept Result changed after later pooled Solves")
 	}
+}
+
+// instancePath returns the field path of a non-nil *model.Instance
+// reachable from v (through pointers, interfaces, structs, maps and the
+// full capacity of slices), or "" when there is none.
+func instancePath(v reflect.Value, path string, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return ""
+		}
+		if v.Type() == reflect.TypeFor[*model.Instance]() {
+			return path
+		}
+		if seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		return instancePath(v.Elem(), path, seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return ""
+		}
+		return instancePath(v.Elem(), path, seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := instancePath(v.Field(i), path+"."+v.Type().Field(i).Name, seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if v.Kind() == reflect.Slice {
+			v = v.Slice3(0, v.Cap(), v.Cap())
+		}
+		for i := 0; i < v.Len(); i++ {
+			if p := instancePath(v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if p := instancePath(it.Value(), path+"[…]", seen); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// TestPooledWorkspaceHoldsNoInstance checks that Solve releases the
+// workspace it puts back: an idle pooled workspace keeps its buffers but
+// no reference to the instance it last solved, so the garbage collector
+// need not mark that instance. It also checks the walk itself finds the
+// instance in a bound workspace.
+func TestPooledWorkspaceHoldsNoInstance(t *testing.T) {
+	in := poolInstance(t, nil)
+	opts := Options{MaxIter: 4}
+	bound := new(workspace)
+	if _, err := solve(context.Background(), in, opts, bound); err != nil {
+		t.Fatal(err)
+	}
+	if instancePath(reflect.ValueOf(bound), "ws", map[uintptr]bool{}) == "" {
+		t.Fatal("no instance found in a bound workspace; the walk shows nothing")
+	}
+
+	// sync.Pool may drop an item (the race detector drops some on
+	// purpose), so retry until a Get returns the workspace Solve used.
+	for try := 0; try < 50; try++ {
+		if _, err := Solve(context.Background(), in, opts); err != nil {
+			t.Fatal(err)
+		}
+		ws := workspaces.Get().(*workspace)
+		used := len(ws.rewards) > 0
+		if used {
+			if p := instancePath(reflect.ValueOf(ws), "ws", map[uintptr]bool{}); p != "" {
+				t.Fatalf("pooled workspace holds the instance at %s", p)
+			}
+		}
+		workspaces.Put(ws)
+		if used {
+			return
+		}
+	}
+	t.Fatal("no Get returned a workspace a Solve had used")
 }

@@ -162,6 +162,7 @@ func Solve(ctx context.Context, in *model.Instance, opts Options) (*Result, erro
 	// Put back on every return, errors and cancellation included: any
 	// parallel.For inside has joined its helpers by then. Not deferred,
 	// so a panicking solve drops the workspace it may have left half bound.
+	ws.release()
 	workspaces.Put(ws)
 	return res, err
 }

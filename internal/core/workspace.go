@@ -28,12 +28,20 @@ type workspace struct {
 }
 
 // workspaces holds the idle workspaces of this process. Solve borrows one
-// for its run and puts it back on every normal return, so solver scratch
-// scales with the number of concurrently running Solves, not with the
-// number of callers or controller versions. A Result shares no memory
-// with the workspace that produced it, so a returned workspace may go
-// straight to the next Solve.
+// for its run and puts it back, released, on every normal return, so
+// solver scratch scales with the number of concurrently running Solves,
+// not with the number of callers or controller versions. A Result shares
+// no memory with the workspace that produced it, so a returned workspace
+// may go straight to the next Solve.
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// release drops every reference the workspace holds to its last
+// instance and keeps the buffers, so an idle pooled workspace does not
+// keep that instance reachable for the garbage collector to mark.
+func (ws *workspace) release() {
+	ws.p1.Release()
+	ws.p2.Release()
+}
 
 // bind sizes the workspace for an instance, reusing buffers whose capacity
 // suffices. Nothing of the previous bind's solver state carries over.

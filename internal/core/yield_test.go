@@ -122,7 +122,7 @@ func TestErgodicCandidateRespectsOverlay(t *testing.T) {
 	for _, c := range []struct {
 		beta float64
 		seed uint64
-	}{{20, 17}, {50, 11}, {50, 32}} {
+	}{{30, 2}, {35, 25}, {40, 4}} {
 		in := chcShapedInstance(t, c.beta, c.seed)
 		caps := make([][]int, in.T)
 		for tt := range caps {

@@ -9,15 +9,17 @@ import (
 	"edgecache/internal/projection"
 )
 
-// The dual kernel: every P2 solve of a Workspace, dual iteration and
-// feasibility recovery alike — FISTA with the fixed step 1/L, projected
-// onto the box ∩ the bandwidth knapsack, minimising
-// (A − w·y)² + (ŵ·y)² + μ·y. A dual solve has μ ≥ 0 and the unit box; a
-// recovery has no μ and the box [0, hi] with hi = the fixed placement.
-// It runs the iteration of SlotProblem.Solve bit for bit in two passes
-// over the coordinates per gradient step, where the reference runs about
-// fourteen (the gradient and objective dots, the step, three projection
-// passes, the distance, the extrapolation and the scaled norm):
+// The dual kernel: every iterative P2 solve of a Workspace, dual
+// iteration and feasibility recovery alike (the closed form of exact.go
+// and the greedy recovery answer the rest at ŵ ≡ 0) — FISTA with the
+// fixed step 1/L, projected onto the box ∩ the bandwidth knapsack,
+// minimising (A − w·y)² + (ŵ·y)² + μ·y. A dual solve has μ ≥ 0 and the
+// unit box; a recovery has no μ and the box [0, hi] with hi = the fixed
+// placement. It runs the iteration of SlotProblem.Solve bit for bit in
+// two passes over the coordinates per gradient step, where the reference
+// runs about fourteen (the gradient and objective dots, the step, three
+// projection passes, the distance, the extrapolation and the scaled
+// norm):
 //
 //   - pass 1 (stepClamp) fuses the gradient, the step, the box clamp and
 //     the θ = 0 knapsack load, writing the clamped point and keeping the

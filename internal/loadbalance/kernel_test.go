@@ -13,15 +13,15 @@ import (
 
 // checkKernelSolve runs the dual solve of slot i of ws for the μ row mu
 // from its current iterate twice, through the reference SlotProblem.Solve
-// and through the kernel, and fails unless iterate, objective and
-// gradient-step count agree bit for bit. The kernel's iterate stays in the
-// slot; name labels failures.
+// and through the kernel alone (kernelDual, bypassing the closed form),
+// and fails unless iterate, objective and gradient-step count agree bit
+// for bit. The kernel's iterate stays in the slot; name labels failures.
 func checkKernelSolve(tb testing.TB, name string, ws *Workspace, i int, mu []float64, opts convex.Options) {
 	tb.Helper()
 	s := &ws.slots[i]
 	want, wantValue, wantSteps := referenceDual(tb, ws.in, s, mu, opts)
 	steps := mGradSteps.Value()
-	value, err := s.solveDual(mu, opts)
+	value, err := s.kernelDual(mu, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -106,8 +106,11 @@ func pinRounds(t *testing.T, name string, ws *Workspace, rng *rand.Rand, opts co
 // coordinates without demand, ŵ zero or not — with μ drawn at the given
 // scale (some entries exactly at the pin edge 2A·w_i), a warm start with
 // exact zeros at the given share and the given bandwidth, over two
-// warm-started solves. A μ row with a negative or non-finite entry must be
-// rejected instead. Run with
+// warm-started solves. On a plane with ŵ ≡ 0 each round then runs the
+// slot's own dual solve, the closed form or its fallback, through
+// checkExactSolve; the next round's kernel solve warm-starts from its
+// point. A μ row with a negative or non-finite entry must be rejected
+// instead. Run with
 // `go test -fuzz FuzzDualKernel ./internal/loadbalance`.
 func FuzzDualKernel(f *testing.F) {
 	f.Add(uint64(1), 2.0, 0.5, 5.0)
@@ -182,6 +185,9 @@ func FuzzDualKernel(f *testing.F) {
 				continue
 			}
 			checkKernelSolve(t, fmt.Sprintf("round %d", round), ws, 0, mu, opts)
+			if s.whZero {
+				checkExactSolve(t, fmt.Sprintf("round %d closed form", round), ws, 0, mu, opts)
+			}
 		}
 	})
 }

@@ -12,7 +12,9 @@
 //
 // The objective is convex and L-smooth with the exact constant
 // L = 2(‖w‖² + ‖ŵ‖²); the solver is FISTA (package convex) over the
-// box-and-knapsack set projected by package projection.
+// box-and-knapsack set projected by package projection. When ŵ ≡ 0 a
+// Workspace dual solve first tries the closed-form KKT point (exact.go),
+// which it keeps when the point fits the bandwidth.
 //
 // The same machinery also recovers the best feasible load split for a
 // fixed placement x (OptimalGivenPlacement): set μ = 0 and tighten the
@@ -49,6 +51,13 @@ var (
 	mViewCoords   = obs.Default.Counter("loadbalance.p2_view_coords")
 	mPinnedCoords = obs.Default.Counter("loadbalance.p2_pinned_coords")
 	mPinFallbacks = obs.Default.Counter("loadbalance.p2_pin_fallbacks")
+
+	// The closed-form dual solve of slots with ŵ ≡ 0 (exact.go): the
+	// solves it certified, and those whose point broke the bandwidth and
+	// went to the dual kernel. An exact solve counts in p2_solves and
+	// adds no gradient step.
+	mExactSolves    = obs.Default.Counter("loadbalance.p2_exact_solves")
+	mExactFallbacks = obs.Default.Counter("loadbalance.p2_exact_fallbacks")
 )
 
 // SlotProblem is P2 for one (SBS, slot) pair over M·K coordinates.

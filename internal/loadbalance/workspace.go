@@ -22,15 +22,19 @@ import (
 // workspace computes it once per Bind and then solves dual iterations and
 // feasibility recoveries with zero steady-state heap allocations,
 // scheduling the (slot, SBS) subproblems as one flat work list on the
-// shared worker pool. Every solve, dual and recovery, is one run of the
+// shared worker pool. A dual solve of a slot with ŵ ≡ 0 is the closed
+// form (exact.go) where its point fits the bandwidth; every other solve,
+// dual and recovery, is the greedy recovery at ŵ ≡ 0 or one run of the
 // dual kernel (kernel.go) over coordinates read from the slot's own rows.
 //
-// Numerics are bit-for-bit identical to the reference path
-// (SlotProblem.Solve / OptimalGivenPlacement): the same float64 operation
-// sequence runs over precomputed inputs, warm starts between dual
-// iterations carry the previous iterate by keeping it in place instead of
-// copying plans, and the total objective is accumulated in the sequential
-// order (per slot over SBSs, then over slots).
+// The kernel and the greedy are bit-for-bit identical to the reference
+// path (SlotProblem.Solve / OptimalGivenPlacement): the same float64
+// operation sequence runs over precomputed inputs, warm starts between
+// dual iterations carry the previous iterate by keeping it in place
+// instead of copying plans, and the total objective is accumulated in
+// the sequential order (per slot over SBSs, then over slots). The closed
+// form reaches the reference's minimum to rounding and depends on the
+// slot's instance data and μ alone.
 //
 // A workspace is single-solve state: Bind and the solve methods must not
 // be called concurrently, though each solve internally parallelises over
@@ -212,6 +216,12 @@ func (s *slotState) bind(in *model.Instance, t, n int, zeros []float64) {
 	s.act = act
 }
 
+// Release drops the workspace's reference to the bound instance and keeps
+// every buffer, so an idle workspace does not keep its last instance
+// reachable (the slot states hold copies of their rows, not views). Bind
+// must run again before the next solve.
+func (ws *Workspace) Release() { ws.in = nil }
+
 // gatherAt copies src at the positions idx into buf (len(buf) ≥ len(idx))
 // and returns the filled prefix.
 func gatherAt(buf, src []float64, idx []int) []float64 {
@@ -258,12 +268,30 @@ func (s *slotState) checkMu(mu []float64) error {
 	return nil
 }
 
-// solveDual runs this slot's warm-started dual solve under the μ row mu
+// solveDual runs this slot's dual solve under the μ row mu. On a slot
+// with ŵ ≡ 0 it first tries the closed form (exact.go); when that is not
+// certified, or ŵ ≢ 0, it runs the dual kernel warm-started from s.y. It
+// leaves the solution in s.y for the next iteration and returns the
+// objective value. opts is already checked, and so is mu (checkMu).
+func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error) {
+	if s.whZero {
+		start := time.Now()
+		if value, ok := s.exactDual(mu); ok {
+			mExactSolves.Inc()
+			mSlotSolves.Inc()
+			mSolveTime.Observe(time.Since(start))
+			return value, nil
+		}
+		mExactFallbacks.Inc()
+	}
+	return s.kernelDual(mu, opts)
+}
+
+// kernelDual runs this slot's warm-started dual solve under the μ row mu
 // on the dual kernel, over the live coordinates pin leaves or, from the
 // step where the pin certificate breaks, over act. It leaves the iterate
-// in s.y for the next iteration and returns the objective value. opts is
-// already checked, and so is mu (checkMu).
-func (s *slotState) solveDual(mu []float64, opts convex.Options) (float64, error) {
+// in s.y and returns the objective value.
+func (s *slotState) kernelDual(mu []float64, opts convex.Options) (float64, error) {
 	start := time.Now()
 	k := s.pin(mu)
 	res, err := s.fista(&k, s.y, opts)

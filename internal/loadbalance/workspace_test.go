@@ -72,12 +72,38 @@ func zeroMu(in *model.Instance) [][][]float64 {
 	return randomMu(rand.New(rand.NewPCG(0, 0)), in, 0)
 }
 
+// kernelSweep is SolveDual on the dual kernel alone: every slot of ws
+// runs kernelDual under its μ row, bypassing the closed form of ŵ ≡ 0
+// slots, and the total sums in SolveDual's order.
+func kernelSweep(tb testing.TB, ws *Workspace, mu [][][]float64, opts convex.Options) float64 {
+	tb.Helper()
+	for i := range ws.slots {
+		s := &ws.slots[i]
+		obj, err := s.kernelDual(mu[s.t][s.n], opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ws.objs[i] = obj
+	}
+	var total float64
+	for t := 0; t < ws.in.T; t++ {
+		var slot float64
+		for n := 0; n < ws.in.N; n++ {
+			slot += ws.objs[t*ws.in.N+n]
+		}
+		total += slot
+	}
+	return total
+}
+
 // TestWorkspaceDualMatchesReference drives a workspace through a warm-
 // started dual-iteration sequence — the access pattern of Algorithm 1 —
 // and checks each iteration is byte-identical to the reference path:
-// same iterates, same total objective.
+// same iterates, same total objective. The instances have ŵ > 0, where
+// every dual solve runs the kernel; TestDualKernelMatchesReference drives
+// the kernel on ŵ ≡ 0 too.
 func TestWorkspaceDualMatchesReference(t *testing.T) {
-	for _, sbsCost := range []float64{0, 0.3} {
+	for _, sbsCost := range []float64{0.1, 0.3} {
 		cfg := workload.PaperDefault()
 		cfg.N = 2
 		cfg.T = 4
@@ -146,8 +172,12 @@ func referenceDual(tb testing.TB, in *model.Instance, s *slotState, mu []float64
 // θ = 0 clamp is the projection and one tight enough that the bisection
 // fallback runs. Each warm-started iteration must match the reference
 // SlotProblem.Solve bit for bit, slot by slot (iterate, objective and
-// gradient-step count) and over the whole sweep. Then pinRounds drives the
-// pin certificate on the same planes.
+// gradient-step count) and over the whole sweep. A ŵ > 0 sweep is
+// SolveDual. A ŵ ≡ 0 sweep runs the kernel directly (kernelSweep), except
+// under zero duals on the tight bandwidth and a dense plane: there the
+// closed form's point (y = 1 wherever w > 0) breaks the bandwidth at
+// every slot, so SolveDual reaches the kernel through the fallback. Then pinRounds drives the pin
+// certificate on the same planes.
 func TestDualKernelMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		sbsCost, bandwidth float64
@@ -201,10 +231,22 @@ func TestDualKernelMatchesReference(t *testing.T) {
 			wantPlans, wantTotal := referenceSolveAll(t, in, mu, warm, opts)
 			warm = wantPlans
 
-			stepsBefore := mGradSteps.Value()
-			gotTotal, err := ws.SolveDual(context.Background(), mu, opts)
-			if err != nil {
-				t.Fatal(err)
+			stepsBefore, fallbacks := mGradSteps.Value(), mExactFallbacks.Value()
+			var gotTotal float64
+			switch fallback := c.bandwidth == 1 && !c.sparse && iter%2 == 0; {
+			case c.sbsCost == 0 && !fallback:
+				gotTotal = kernelSweep(t, ws, mu, opts)
+			default:
+				if gotTotal, err = ws.SolveDual(context.Background(), mu, opts); err != nil {
+					t.Fatal(err)
+				}
+				wantFallbacks := 0
+				if c.sbsCost == 0 {
+					wantFallbacks = len(ws.slots)
+				}
+				if got := int(mExactFallbacks.Value() - fallbacks); got != wantFallbacks {
+					t.Fatalf("%+v iter %d: %d closed-form fallbacks, want %d", c, iter, got, wantFallbacks)
+				}
 			}
 			if got := int(mGradSteps.Value() - stepsBefore); got != steps {
 				t.Fatalf("%+v iter %d: kernel took %d gradient steps, reference %d", c, iter, got, steps)
